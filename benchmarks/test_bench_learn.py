@@ -1,7 +1,8 @@
 """Bench (extension): the learned-tier fast path.
 
 Two measurements, recorded into ``BENCH_learn.json`` at the repo root
-(uploaded as a CI artifact beside ``BENCH_parallel.json``):
+under ``REPRO_BENCH_RECORD=1`` (uploaded as a CI artifact beside
+``BENCH_parallel.json``):
 
 * **Batched refit kernels** -- ``fit_model_batch`` (the stacked ridge
   solve and cross-node GBM stump search) vs the frozen per-node scalar
@@ -22,19 +23,16 @@ Both paths are bitwise-identical by construction (pinned in
 is pure wall-clock.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
+from conftest import record
 from repro.experiments import robustness
 from repro.learn.features import N_FEATURES
 from repro.learn.models import TrainingConfig, fit_model_batch, unstack_params
 from repro.learn.reference import fit_model_reference
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_learn.json"
 
 IS_CI = bool(os.environ.get("CI"))
 #: The ISSUE gate: >= 5x batched-vs-loop refit at the fleet shape.
@@ -55,24 +53,6 @@ MATRIX_KWARGS = dict(
     seed=7,
     tune_wcma=False,
 )
-
-
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_learn.json.
-
-    Machine context is per entry (same policy as BENCH_parallel.json):
-    partial runs must not re-attribute numbers measured elsewhere.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _refit_window(B, n, seed=12345):
@@ -157,7 +137,7 @@ def test_bench_learn_refit_speedup():
         "gbm_speedup": round(gbm_speedup, 2),
         "combined_speedup": round(combined_speedup, 2),
     }
-    _record("refit_speedup", entry)
+    record("learn", "refit_speedup", entry)
     B, n = GATE_SHAPE
     assert gbm_speedup >= MIN_REFIT_SPEEDUP, (
         f"batched GBM refit at B={B}, n={n} is {gbm_speedup:.2f}x the "
@@ -203,7 +183,8 @@ def test_bench_learn_matrix_throughput():
         f"= {per_cell_s / stacked_s:.2f}x; stages "
         + ", ".join(f"{k}={v:.2f}s" for k, v in sorted(stages.items()))
     )
-    _record(
+    record(
+        "learn",
         "matrix_throughput",
         {
             "n_days": MATRIX_KWARGS["n_days"],

@@ -1,7 +1,7 @@
 """Bench (extension): the shared parallel execution layer.
 
 Three measurements, recorded into ``BENCH_parallel.json`` at the repo
-root (uploaded as a CI artifact):
+root under ``REPRO_BENCH_RECORD=1`` (uploaded as a CI artifact):
 
 * **run_all backends** -- the full experiment selection at a CI-sized
   trace length, sequential vs process pool vs thread pool, through the
@@ -21,13 +21,12 @@ root (uploaded as a CI artifact):
   cache is the point), block by block.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
+from conftest import record
 from repro.experiments.common import clear_batch_cache
 from repro.experiments.robustness import DEFAULT_SCENARIOS
 from repro.experiments.robustness import run as run_robustness
@@ -35,8 +34,6 @@ from repro.experiments.runner import render_report, run_all
 from repro.management.fleet import FleetAggregate
 from repro.parallel import FleetPlan, ResultCache, run_fleet_blocks
 from repro.solar.datasets import clear_cache as clear_trace_cache
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 IS_CI = bool(os.environ.get("CI"))
 MIN_PARALLEL_SPEEDUP = 1.3 if IS_CI else 2.0
@@ -75,24 +72,6 @@ MILLION_PLAN = FleetPlan(
 )
 
 
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_parallel.json.
-
-    Machine context is per entry (same policy as BENCH_sweep.json):
-    partial runs must not re-attribute numbers measured elsewhere.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _timed_run_all(**kwargs):
     clear_batch_cache()
     clear_trace_cache()
@@ -129,7 +108,7 @@ def test_bench_parallel_run_all_backends():
             "dispatch_s": round(stats.dispatch_s, 4),
             "dispatch_per_unit_s": round(stats.dispatch_per_unit_s, 6),
         }
-    _record("run_all_backends", entry)
+    record("parallel", "run_all_backends", entry)
     print(
         f"\nrun_all({RUN_ALL_DAYS}d) backends: sequential {seq_s:.2f}s, "
         f"process {proc_s:.2f}s ({seq_s / proc_s:.2f}x), "
@@ -169,7 +148,8 @@ def test_bench_robustness_resume(tmp_path):
         f"cells from cache ({100 * hit_fraction:.0f}%), resumed "
         f"{resumed_s:.2f}s vs fresh {fresh_s:.2f}s"
     )
-    _record(
+    record(
+        "parallel",
         "robustness_resume",
         {
             "n_days": ROBUSTNESS_KWARGS["n_days"],
@@ -214,7 +194,8 @@ def test_bench_fleet_sharded():
         f"({rate:,.0f} node-slots/sec, {100 * overhead:+.1f}% vs monolithic); "
         f"projected 1M-node year: {projected_hours:.1f}h on one core"
     )
-    _record(
+    record(
+        "parallel",
         "fleet_sharded",
         {
             "n_nodes": FLEET_PLAN.n_nodes,
@@ -260,7 +241,8 @@ def test_bench_fleet_million_node_year(tmp_path):
     )
     elapsed = time.perf_counter() - start
     node_slots = aggregate.n_nodes * aggregate.total_slots
-    _record(
+    record(
+        "parallel",
         "fleet_million_node_year",
         {
             "n_nodes": aggregate.n_nodes,

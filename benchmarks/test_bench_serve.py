@@ -1,7 +1,8 @@
 """Bench (extension): the always-on forecast service.
 
 Measures the serve layer end to end and records the numbers into
-``BENCH_serve.json`` at the repo root (uploaded as a CI artifact):
+``BENCH_serve.json`` at the repo root under ``REPRO_BENCH_RECORD=1``
+(uploaded as a CI artifact):
 
 * **Query throughput** -- hundreds of logical sites (``node-NNN``
   backed by the six synthetic datasets via the register op's
@@ -10,21 +11,20 @@ Measures the serve layer end to end and records the numbers into
   trip per request -- the serialisation cost every transport
   (stdin-JSONL, HTTP) pays.  Asserts a conservative queries/sec floor.
 * **Durable observe** -- the same observe stream against a state
-  store at ``checkpoint_every=1`` (every slot fsynced to its own
-  atomic checkpoint -- the always-on-node setting) and at a batched
-  interval, recording the durability overhead, then verifies a fresh
-  service resumes every node at the full observed count.
+  store at ``checkpoint_every=1`` (every slot written to its own
+  atomic checkpoint, temp file + ``os.replace`` without fsync -- the
+  always-on-node setting) and at a batched interval, recording the
+  checkpoint overhead, then verifies a fresh service resumes every
+  node at the full observed count.
 """
 
 import json
 import os
 import time
-from pathlib import Path
 
+from conftest import record
 from repro.serve import ForecastService
 from repro.solar.sites import SITE_ORDER
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 IS_CI = bool(os.environ.get("CI"))
 
@@ -44,24 +44,6 @@ MIN_DURABLE_QPS = 30 if IS_CI else 60
 #: temp file + rename each) stay a few hundred IOs.
 N_DURABLE_SITES = 40
 DURABLE_ROUNDS = 5
-
-
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_serve.json.
-
-    Machine context is per entry (same policy as BENCH_parallel.json):
-    partial runs must not re-attribute numbers measured elsewhere.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _query(service, request):
@@ -126,7 +108,8 @@ def test_bench_serve_query_throughput():
         f"({samples / replay_s:,.0f}/s), {queries} queries in "
         f"{query_s:.2f}s ({qps:,.0f} qps)"
     )
-    _record(
+    record(
+        "serve",
         "query_throughput",
         {
             "n_sites": N_SITES,
@@ -177,7 +160,8 @@ def test_bench_serve_durable_observe(tmp_path):
         f"checkpoint_every=1 vs {rates['every_25']:,.0f} qps batched "
         f"({overhead:.1f}x)"
     )
-    _record(
+    record(
+        "serve",
         "durable_observe",
         {
             "n_sites": N_DURABLE_SITES,

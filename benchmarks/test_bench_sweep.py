@@ -2,8 +2,8 @@
 parallel experiment runner.
 
 Four measurements, all recorded into ``BENCH_sweep.json`` at the repo
-root (uploaded as a CI artifact) so the perf trajectory of the sweep
-stack is tracked over time:
+root under ``REPRO_BENCH_RECORD=1`` (uploaded as a CI artifact) so the
+perf trajectory of the sweep stack is tracked over time:
 
 * **Throughput** -- cold exhaustive grid searches (paper grid) across
   the paper's sampling rates on one site, in grid-points/sec.
@@ -23,13 +23,11 @@ stack is tracked over time:
   core count are recorded either way.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import run_once
+from conftest import record, run_once
 
 from repro.core.optimizer import (
     DEFAULT_ALPHAS,
@@ -43,8 +41,6 @@ from repro.experiments.common import clear_batch_cache
 from repro.experiments.runner import render_report, run_all
 from repro.solar.datasets import build_dataset
 from repro.solar.datasets import clear_cache as clear_trace_cache
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 SITE = "HSU"
 PAPER_N_VALUES = (288, 96, 72, 48, 24)
@@ -67,26 +63,6 @@ MIN_PAPER_SPEEDUP = 1.5 if IS_CI else 2.0
 MIN_PARALLEL_SPEEDUP = 1.3 if IS_CI else 2.0
 
 
-def _record(key, payload):
-    """Merge one benchmark's numbers into BENCH_sweep.json.
-
-    Machine context is stored per entry, not at the top level: partial
-    runs (e.g. the CI smoke job's ``-k`` subset) must not re-attribute
-    numbers measured elsewhere to the current machine.
-    """
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    payload = dict(payload)
-    payload["machine"] = {"cpu_count": os.cpu_count(), "ci": IS_CI}
-    data.pop("machine", None)  # drop the legacy top-level key
-    data[key] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _grid_points(n_sweeps, alphas=DEFAULT_ALPHAS, days=DEFAULT_DAYS, ks=DEFAULT_KS):
     return n_sweeps * len(alphas) * len(days) * len(ks)
 
@@ -106,7 +82,8 @@ def test_bench_sweep_throughput(benchmark, full_days):
         f"({len(PAPER_N_VALUES)} sweeps at N={PAPER_N_VALUES}) "
         f"in {seconds:.2f}s = {rate:,.0f} grid-points/sec"
     )
-    _record(
+    record(
+        "sweep",
         "grid_search_throughput",
         {
             "site": SITE,
@@ -160,7 +137,8 @@ def test_bench_sweep_fused_vs_loop_paper_grid(benchmark, full_days):
             f"{k} {v['speedup']}x" for k, v in per_n.items()
         )
     )
-    _record(
+    record(
+        "sweep",
         "fused_vs_loop_paper_grid",
         {
             "site": SITE,
@@ -200,7 +178,8 @@ def test_bench_sweep_fused_vs_loop_scale(benchmark):
         f"{points:,} grid points): loop {loop_seconds:.2f}s vs "
         f"fused {fused_seconds:.2f}s ({speedup:.2f}x)"
     )
-    _record(
+    record(
+        "sweep",
         "fused_vs_loop_scale_grid",
         {
             "site": SITE,
@@ -244,7 +223,8 @@ def test_bench_run_all_parallel(benchmark, full_days):
         f"chunk={exec_stats.chunk_size} "
         f"dispatch {1e3 * exec_stats.dispatch_per_unit_s:.2f} ms/unit"
     )
-    _record(
+    record(
+        "sweep",
         "run_all_parallel",
         {
             "n_days": full_days,

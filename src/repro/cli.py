@@ -537,9 +537,10 @@ def _validate_names(args) -> None:
     ``choices`` and the size options by :func:`_positive_int`; sites,
     registry predictor names and N-vs-site divisibility are free-form,
     so they are checked here, eagerly, against the same validators the
-    library uses.  (An ``--n`` paired with a ``--trace`` CSV can only
-    be checked after the file is read, so that path stays a library
-    error.)
+    library uses -- for ``serve``, by constructing the service, which
+    also refuses predictors it cannot checkpoint.  (An ``--n`` paired
+    with a ``--trace`` CSV can only be checked after the file is read,
+    so that path stays a library error.)
     """
     from repro.core.registry import available_predictors
     from repro.experiments.common import sites_for
@@ -566,6 +567,10 @@ def _validate_names(args) -> None:
             raise ValueError(
                 f"unknown predictors: {unknown}; available: {known}"
             )
+    if getattr(args, "command", None) == "serve":
+        from repro.serve import ForecastService
+
+        ForecastService(n_slots=args.n, predictor=args.predictor)
     n_slots = getattr(args, "n", None)
     if n_slots is not None:
         if site is not None:

@@ -1,8 +1,8 @@
 """Core prediction algorithms (the paper's primary subject).
 
 * :mod:`repro.core.wcma` -- the evaluated predictor of Recas et al. [5]
-  (Eqs. 1-5): online class plus a vectorized batch engine used by the
-  parameter sweeps.
+  (Eqs. 1-5): one online kernel (any number of nodes, each with its own
+  parameters) plus a vectorized batch engine used by the sweeps.
 * :mod:`repro.core.ewma` -- the EWMA predictor of Kansal et al. [2].
 * :mod:`repro.core.baselines` -- persistence / moving-average / previous-
   day baselines used for comparison experiments.

@@ -5,8 +5,10 @@ adapting ``(alpha, K)`` per prediction could cut the average error by
 more than half, and concludes "it is promising to develop dynamic
 parameters selection algorithms".  This module builds that future work:
 *causal* selectors that choose among an ensemble of WCMA experts (one
-per ``(alpha, K)`` grid point) using only information available on the
-node at prediction time.
+per ``(alpha, D, K)`` grid point) using only information available on
+the node at prediction time.  The ensemble is a single
+:class:`~repro.core.wcma.WCMAVector` whose column ``b`` runs
+``grid[b]``, so all experts advance in one kernel call per slot.
 
 The feedback signal is causal either way: by default the realized
 *slot mean* power (``feedback="slot_mean"``) -- a harvesting node
@@ -18,6 +20,8 @@ Selectors:
 
 * :class:`FollowTheLeaderSelector` -- pick the expert with the smallest
   discounted cumulative absolute error so far.
+* :class:`SoftminSelector` -- blend the leaderboard with softmin
+  weights (the registered ``adaptive`` predictor).
 * :class:`EpsilonGreedySelector` -- follow the leader, but explore a
   random expert with probability ``epsilon`` (useful when weather
   regimes shift and the leaderboard goes stale).
@@ -38,7 +42,7 @@ import numpy as np
 
 from repro.core.base import OnlinePredictor
 from repro.core.optimizer import DEFAULT_ALPHAS, DEFAULT_KS
-from repro.core.wcma import WCMAParams, WCMAPredictor
+from repro.core.wcma import MU_EPS, WCMAParams, WCMAVector
 
 __all__ = [
     "AdaptiveSelector",
@@ -94,7 +98,7 @@ def compact_grid(
 
 
 class AdaptiveSelector(OnlinePredictor):
-    """Base class: an ensemble of WCMA experts plus a selection rule.
+    """Base class: a kernel of WCMA experts plus a selection rule.
 
     Subclasses implement :meth:`_select`, mapping the current expert
     scores to either an expert index or a weight vector.
@@ -143,7 +147,7 @@ class AdaptiveSelector(OnlinePredictor):
             raise ValueError("expert grid must be non-empty")
         self.discount = discount
         self.feedback = feedback
-        self._experts = [WCMAPredictor(n_slots, p) for p in self.grid]
+        self._experts = WCMAVector(n_slots, self.grid, len(self.grid))
         self._scores = np.zeros(len(self.grid), dtype=float)
         self._last_predictions: Optional[np.ndarray] = None
         self._last_choice: Optional[int] = None
@@ -167,8 +171,7 @@ class AdaptiveSelector(OnlinePredictor):
         self._pending_slot_mean = float(mean_watts)
 
     def reset(self) -> None:
-        for expert in self._experts:
-            expert.reset()
+        self._experts.reset()
         self._scores.fill(0.0)
         self._last_predictions = None
         self._last_choice = None
@@ -188,19 +191,20 @@ class AdaptiveSelector(OnlinePredictor):
         if self._last_predictions is not None:
             # Relative loss, mirroring the MAPE objective: references
             # below the ROI floor (10 % of the running peak) are skipped,
-            # exactly as Section III skips them when scoring.
+            # exactly as Section III skips them when scoring.  Night-level
+            # references (below MU_EPS) never count, so a relative loss
+            # cannot overflow.
             self._reference_peak = max(self._reference_peak, reference)
-            floor = 0.1 * self._reference_peak
-            if reference >= floor and floor > 0:
+            floor = max(0.1 * self._reference_peak, MU_EPS)
+            if reference >= floor:
                 losses = np.abs(self._last_predictions - reference) / reference
                 self._scores *= self.discount
                 self._scores += losses
                 self._learn(losses)
 
-        # 2. Every expert predicts the next boundary.
-        predictions = np.array(
-            [expert.observe(value) for expert in self._experts], dtype=float
-        )
+        # 2. Every expert predicts the next boundary: column b of the
+        #    kernel runs grid[b].
+        predictions = self._experts.observe(np.full(len(self.grid), value))
         self._last_predictions = predictions
 
         # 3. Selection rule.

@@ -21,7 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["OnlinePredictor", "VectorPredictor", "DayHistory", "FleetDayHistory"]
+__all__ = [
+    "OnlinePredictor",
+    "VectorPredictor",
+    "ScalarFace",
+    "DayHistory",
+    "FleetDayHistory",
+]
 
 
 class OnlinePredictor(abc.ABC):
@@ -71,8 +77,9 @@ class OnlinePredictor(abc.ABC):
     def state_dict(self) -> dict:
         """Snapshot of the online state, sufficient to resume exactly.
 
-        Predictors that support checkpoint/resume (WCMA, EWMA) override
-        this together with :meth:`load_state_dict`; restoring the
+        Predictors that support checkpoint/resume (WCMA, EWMA, the
+        learned tier) override this together with
+        :meth:`load_state_dict`; restoring the
         snapshot into a freshly constructed predictor and continuing
         must be indistinguishable from never having stopped.  The
         serving layer (:mod:`repro.serve`) persists these snapshots
@@ -112,8 +119,10 @@ class VectorPredictor(abc.ABC):
     Elementwise, a vector kernel must reproduce its scalar counterpart:
     node ``b`` of ``observe(values)[b]`` equals what a dedicated
     :class:`OnlinePredictor` fed ``values[b]`` slot by slot would
-    return (``tests/management/test_fleet_parity.py`` enforces this to
-    1e-9 for every built-in predictor).
+    return.  Where the scalar predictor is the kernel's
+    :class:`ScalarFace` (WCMA, the learned tier) this holds bitwise by
+    construction; the remaining scalar twins are held to 1e-9 by
+    ``tests/management/test_fleet_parity.py``.
     """
 
     #: Slots per day this predictor was configured for.
@@ -161,6 +170,35 @@ class VectorPredictor(abc.ABC):
         return out
 
 
+class ScalarFace(OnlinePredictor):
+    """One node of a :class:`VectorPredictor`: the kernel at ``B == 1``.
+
+    A predictor whose arithmetic lives in a lock-step kernel subclasses
+    this and hands its ``batch_size=1`` kernel to ``__init__``; every
+    observation then runs the kernel's code, so the scalar and vector
+    forms cannot drift apart.  Checkpoints default to the kernel's own
+    ``state_dict`` layout.
+    """
+
+    def __init__(self, kernel: VectorPredictor):
+        self._kernel = kernel
+        self.n_slots = kernel.n_slots
+        self._buf = np.zeros(1, dtype=float)
+
+    def reset(self) -> None:
+        self._kernel.reset()
+
+    def observe(self, value: float) -> float:
+        self._buf[0] = value
+        return float(self._kernel.observe(self._buf)[0])
+
+    def state_dict(self) -> dict:
+        return self._kernel.state_dict()
+
+    def load_state_dict(self, state: dict) -> None:
+        self._kernel.load_state_dict(state)
+
+
 def as_batch(values, batch_size: int) -> np.ndarray:
     """Validate and coerce one slot's fleet samples to a ``(B,)`` array."""
     values = np.asarray(values, dtype=float)
@@ -168,7 +206,7 @@ def as_batch(values, batch_size: int) -> np.ndarray:
         raise ValueError(
             f"expected shape ({batch_size},), got {values.shape}"
         )
-    if (values < 0).any():
+    if values.min() < 0:
         raise ValueError("power samples must be non-negative")
     return values
 
@@ -365,17 +403,6 @@ class FleetDayHistory:
         if use == 0:
             return np.empty((0, self.batch_size), dtype=float)
         return self._recent_rows(use)[:, slot % self.n_slots, :].copy()
-
-    def mu_rows(self, depth: Optional[int] = None) -> Optional[np.ndarray]:
-        """Per-node ``μ_D`` over every slot: ``(n_slots, B)`` or None.
-
-        The fleet counterpart of the cached ``_mu_row`` the online WCMA
-        predictor recomputes once per day.
-        """
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return None
-        return self._recent_rows(use).mean(axis=0)
 
     def _recent_rows(self, count: int) -> np.ndarray:
         """The last ``count`` completed day rows, oldest first."""

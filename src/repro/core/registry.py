@@ -289,8 +289,9 @@ register("linear-trend", _make_trend)
 register("ridge", _make_ridge, vector_factory=_make_ridge_vector)
 register("gbm", _make_gbm, vector_factory=_make_gbm_vector)
 # The Table-V adaptive selectors (repro.core.adaptive) on the compact
-# expert grid; scalar-only, like pro-energy (an expert ensemble has no
-# lock-step vector form yet).  "adaptive" is the softmin-blended
+# expert grid; scalar-only, like pro-energy (a selector steps its expert
+# grid as the columns of one WCMA kernel, but has no lock-step form
+# across nodes).  "adaptive" is the softmin-blended
 # leaderboard -- the configuration that beats the re-tuned WCMA on the
 # regime-shift robustness cells.
 register("adaptive", _make_adaptive)

@@ -19,15 +19,17 @@ over the last *D* days (Eq. 2) and the conditioning factor
     \\eta(k) = \\frac{\\tilde e(n-K+k)}{\\mu_D(n-K+k)},\\qquad
     \\theta(k) = k/K.
 
-Three implementations are provided:
+Two engines are provided:
 
-* :class:`WCMAPredictor` -- the *online* form a sensor node would run:
-  O(D + K) state, one :meth:`observe` call per slot.  Used by the node
-  simulation and the fixed-point hardware model.
-* :class:`WCMAVector` -- the same online recurrence over a ``(B,)``
-  batch of independent nodes in lock-step, used by the fleet simulator
-  (:mod:`repro.management.fleet`).  Elementwise it matches
-  :class:`WCMAPredictor` (parity-tested to 1e-9).
+* :class:`WCMAVector` -- the *online* recurrence a sensor node runs,
+  O(D + K) state per node and one :meth:`observe` call per slot, over
+  a ``(B,)`` batch of independent columns in lock-step, each with its
+  own (alpha, D, K).  The fleet simulator (:mod:`repro.management.fleet`)
+  runs one column per node and the adaptive selectors
+  (:mod:`repro.core.adaptive`) one column per expert.
+  :class:`WCMAPredictor` is its ``B == 1`` face for single-node
+  callers (the node simulation, the serve daemon); being the same
+  code, the two agree bitwise.
 * :class:`WCMABatch` -- a vectorized engine over a whole trace, used by
   the parameter sweeps (Tables II, III, V; Fig. 7), where thousands of
   (alpha, D, K) combinations must be scored.
@@ -38,7 +40,7 @@ after sunrise) the ratio explodes -- the sun's day-to-day elevation
 drift can grow a near-horizon slot's power by an order of magnitude
 over ``D`` days, so :math:`\\tilde e / \\mu_D` reaches 3-10 even on a
 perfectly clear morning and would poison :math:`\\Phi_K` for the first
-in-ROI predictions of the day.  Both implementations therefore
+in-ROI predictions of the day.  Both engines therefore
 substitute the neutral value 1.0 whenever :math:`\\mu_D` at the ratio's
 slot is below ``eta_floor_fraction`` (default 5 %) of the historical
 daily peak of :math:`\\mu_D`.  This guard only affects slots the paper's
@@ -49,19 +51,12 @@ MAPE values on sunny sites.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import (
-    DayHistory,
-    FleetDayHistory,
-    OnlinePredictor,
-    VectorPredictor,
-    as_batch,
-)
+from repro.core.base import FleetDayHistory, ScalarFace, VectorPredictor, as_batch
 from repro.solar.slots import SlotView
 
 __all__ = [
@@ -116,8 +111,143 @@ class WCMAParams:
         return np.arange(1, k_param + 1, dtype=float) / k_param
 
 
-class WCMAPredictor(OnlinePredictor):
+class WCMAVector(VectorPredictor):
+    """WCMA over ``B`` independent columns in lock-step: the online kernel.
+
+    ``params`` is one :class:`WCMAParams` shared by every column or a
+    sequence of ``B`` of them, one per column (the adaptive selectors
+    step their whole expert grid this way).  The history matrix is
+    ``(max D, N, B)``.  The ``η`` ring holds ``max K`` ratios per
+    column, newest last, pre-filled with the neutral 1.0 so that ratios
+    missing at the start of a trace count as neutral; its row 0 is a
+    constant 1.0 with weight 0, so every ``Φ`` sum starts from +0.0.
+    The slot/day counters are shared scalars because every column
+    crosses the same boundary at once.
+
+    ``μ_D`` and ``Φ_K`` accumulate row by row, oldest first,
+    elementwise, so a column's output depends only on its own samples
+    and parameters -- never on ``B`` or on the other columns.
+    """
+
+    def __init__(
+        self,
+        n_slots: int,
+        params: Union[WCMAParams, Sequence[WCMAParams]],
+        batch_size: int,
+        eta_floor_fraction: float = ETA_FLOOR_FRACTION,
+    ):
+        if n_slots <= 0:
+            raise ValueError("n_slots must be positive")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if not 0.0 <= eta_floor_fraction < 1.0:
+            raise ValueError(
+                f"eta_floor_fraction must be in [0, 1), got {eta_floor_fraction}"
+            )
+        columns = (
+            (params,) * batch_size if isinstance(params, WCMAParams) else tuple(params)
+        )
+        if len(columns) != batch_size:
+            raise ValueError(
+                f"got {len(columns)} parameter sets for batch_size={batch_size}"
+            )
+        self.n_slots = n_slots
+        self.params = params
+        self.batch_size = batch_size
+        self.eta_floor_fraction = eta_floor_fraction
+        self._alpha = np.array([p.alpha for p in columns])
+        # theta by ring row: a column's last K rows carry k/K, the rows
+        # above them 0, so every column accumulates over the same rows.
+        ks = np.array([p.k for p in columns])
+        max_k = int(ks.max())
+        self._theta = np.zeros((max_k + 1, batch_size), dtype=float)
+        self._theta_sum = np.empty(batch_size, dtype=float)
+        for k in set(ks.tolist()):
+            theta = WCMAParams.theta(k)
+            self._theta[max_k + 1 - k :, ks == k] = theta[:, None]
+            self._theta_sum[ks == k] = theta.sum()
+        # Columns sharing a history depth D average the same days (one
+        # group, the usual case, takes a plain slice: no gather copy).
+        days = np.array([p.days for p in columns])
+        depths = sorted(set(days.tolist()))
+        self._depth_groups = (
+            [(depths[0], slice(None))]
+            if len(depths) == 1
+            else [(d, np.flatnonzero(days == d)) for d in depths]
+        )
+        self._history = FleetDayHistory(
+            n_slots=n_slots, depth=int(days.max()), batch_size=batch_size
+        )
+        self._recent_eta = np.ones((max_k + 1, batch_size), dtype=float)
+        self._terms = np.empty_like(self._recent_eta)
+        self.reset()
+
+    def reset(self) -> None:
+        self._history.reset()
+        self._recent_eta.fill(1.0)
+        self._mu_days_seen = 0
+        # Per-day caches (N, B), rebuilt when a day completes: mu_D with
+        # 1.0 on dawn-guarded slots, the guard mask, and (1 - alpha) times
+        # mu_D of the next slot.  None until a day of history exists.
+        self._divisor = self._dark = self._conditioned = None
+
+    def _refresh_mu(self) -> None:
+        """Rebuild the per-day caches after a day completes.
+
+        ``μ_D`` only depends on *complete* days, so it is constant
+        within a day; caching it makes ``observe`` O(K) instead of O(D).
+        """
+        completed = self._history.total_days_completed
+        if completed == self._mu_days_seen:
+            return
+        self._mu_days_seen = completed
+        available = self._history.n_complete_days
+        if available == 0:
+            self._divisor = self._dark = self._conditioned = None
+            return
+        # mu_D (Eq. 2): each column's last D complete days, summed oldest
+        # first (a sequential accumulate, whatever the batch shape).
+        mu = np.empty((self.n_slots, self.batch_size), dtype=float)
+        for depth, cols in self._depth_groups:
+            use = min(depth, available)
+            window = self._history._recent_rows(use)[:, :, cols]
+            mu[:, cols] = np.add.accumulate(window, axis=0)[-1] / use
+        floor = np.maximum(self.eta_floor_fraction * mu.max(axis=0), MU_EPS)
+        self._dark = ~(mu >= floor)
+        self._divisor = mu.copy()
+        self._divisor[self._dark] = 1.0
+        self._conditioned = (1.0 - self._alpha) * np.concatenate((mu[1:], mu[:1]))
+
+    def observe(self, values: np.ndarray) -> np.ndarray:
+        values = as_batch(values, self.batch_size)
+        self._refresh_mu()
+        slot = self._history.current_slot
+        # Roll the ring: the oldest ratio falls off the front, the
+        # current one lands at the back, where theta(K) = 1 weights it
+        # most.  It is the neutral 1.0 during warm-up and under the
+        # dawn guard.
+        eta = self._recent_eta
+        eta[1:-1] = eta[2:]
+        if self._conditioned is None:
+            eta[-1] = 1.0
+            prediction = values.copy()  # warm-up: pure persistence
+        else:
+            newest = eta[-1]
+            np.divide(values, self._divisor[slot], newest)
+            newest[self._dark[slot]] = 1.0
+            terms = self._terms
+            np.multiply(self._theta, eta, terms)
+            np.add.accumulate(terms, 0, None, terms)
+            phi = terms[-1] / self._theta_sum
+            prediction = self._alpha * values + self._conditioned[slot] * phi
+        self._history.push_slot(values)
+        return prediction
+
+
+class WCMAPredictor(ScalarFace):
     """Online WCMA predictor with O(D*N) memory, as a node would run it.
+
+    The ``B == 1`` face of :class:`WCMAVector`.
 
     Parameters
     ----------
@@ -140,49 +270,36 @@ class WCMAPredictor(OnlinePredictor):
         params: WCMAParams,
         eta_floor_fraction: float = ETA_FLOOR_FRACTION,
     ):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if not 0.0 <= eta_floor_fraction < 1.0:
-            raise ValueError(
-                f"eta_floor_fraction must be in [0, 1), got {eta_floor_fraction}"
-            )
-        self.n_slots = n_slots
+        super().__init__(
+            WCMAVector(n_slots, params, 1, eta_floor_fraction=eta_floor_fraction)
+        )
         self.params = params
         self.eta_floor_fraction = eta_floor_fraction
-        self._history = DayHistory(n_slots=n_slots, depth=params.days)
-        self._recent_eta = deque(maxlen=params.k)
-        self._theta = WCMAParams.theta(params.k)
-        self._theta_sum = float(self._theta.sum())
-        self._mu_row: np.ndarray = None  # mu_D per slot, fixed within a day
-        self._eta_floor = 0.0
-        self._mu_days_seen = 0
-
-    def reset(self) -> None:
-        self._history.reset()
-        self._recent_eta.clear()
-        self._mu_row = None
-        self._eta_floor = 0.0
-        self._mu_days_seen = 0
 
     def state_dict(self) -> dict:
         """Snapshot of the online state (resumes bitwise-exactly).
 
-        The derived mu-row cache is *not* serialised: loading marks it
-        stale so the next :meth:`observe` recomputes it from the history
-        matrix, which is deterministic -- the resumed predictor emits
-        the same bits as one that never stopped.
+        The history is laid out as a :class:`~repro.core.base.DayHistory`
+        snapshot and ``recent_eta`` lists the (at most K) ratios
+        observed so far, oldest first.  The kernel's per-day caches are
+        *not* serialised: loading marks them stale so the next
+        :meth:`observe` recomputes them from the history matrix, which
+        is deterministic -- the resumed predictor emits the same bits as
+        one that never stopped.
         """
+        history = self._kernel._history.state_dict()
+        del history["batch_size"]
+        history["rows"] = history["rows"][:, :, 0]
+        history["current"] = history["current"][:, 0]
+        k = self.params.k
+        observed = history["n_complete"] * self.n_slots + history["slot"]
         return {
             "kind": "wcma",
             "n_slots": self.n_slots,
-            "params": {
-                "alpha": self.params.alpha,
-                "days": self.params.days,
-                "k": self.params.k,
-            },
+            "params": {"alpha": self.params.alpha, "days": self.params.days, "k": k},
             "eta_floor_fraction": self.eta_floor_fraction,
-            "history": self._history.state_dict(),
-            "recent_eta": list(self._recent_eta),
+            "history": history,
+            "recent_eta": self._kernel._recent_eta[k + 1 - min(observed, k) :, 0].tolist(),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -191,194 +308,41 @@ class WCMAPredictor(OnlinePredictor):
             raise ValueError(
                 f"snapshot kind {state.get('kind')!r} is not 'wcma'"
             )
-        params = state["params"]
-        mine = self.params
-        if (
-            int(state["n_slots"]) != self.n_slots
-            or float(params["alpha"]) != mine.alpha
-            or int(params["days"]) != mine.days
-            or int(params["k"]) != mine.k
-        ):
+        mine = {"alpha": self.params.alpha, "days": self.params.days, "k": self.params.k}
+        if int(state["n_slots"]) != self.n_slots or state["params"] != mine:
             raise ValueError(
                 f"snapshot was taken with n_slots={state['n_slots']}, "
-                f"params={params}; this predictor has n_slots="
-                f"{self.n_slots}, params={{'alpha': {mine.alpha}, "
-                f"'days': {mine.days}, 'k': {mine.k}}}"
+                f"params={state['params']}; this predictor has "
+                f"n_slots={self.n_slots}, params={mine}"
             )
         if float(state["eta_floor_fraction"]) != self.eta_floor_fraction:
             raise ValueError(
                 f"snapshot eta_floor_fraction {state['eta_floor_fraction']} "
                 f"!= this predictor's {self.eta_floor_fraction}"
             )
-        self._history.load_state_dict(state["history"])
-        self._recent_eta = deque(
-            (float(v) for v in state["recent_eta"]), maxlen=mine.k
+        saved = state["history"]
+        ratios = [float(v) for v in state["recent_eta"]]
+        observed = int(saved["n_complete"]) * self.n_slots + int(saved["slot"])
+        k = self.params.k
+        if len(ratios) != min(observed, k):
+            raise ValueError(
+                f"snapshot holds {len(ratios)} eta ratios after {observed} "
+                f"observations; K={k} implies {min(observed, k)}"
+            )
+        kernel = self._kernel
+        kernel._history.load_state_dict(
+            {
+                **saved,
+                "batch_size": 1,
+                "rows": np.asarray(saved["rows"], dtype=float)[..., None],
+                "current": np.asarray(saved["current"], dtype=float)[:, None],
+            }
         )
+        kernel._recent_eta.fill(1.0)
+        kernel._recent_eta[k + 1 - len(ratios) :, 0] = ratios
         # Derived caches: mark stale (-1 never equals a completed-days
         # count) so _refresh_mu recomputes them on the next observe.
-        self._mu_row = None
-        self._eta_floor = 0.0
-        self._mu_days_seen = -1
-
-    def _refresh_mu(self) -> None:
-        """Recompute the per-slot mu_D row after a day completes.
-
-        mu_D only depends on *complete* days, so it is constant within a
-        day; caching it makes ``observe`` O(K) instead of O(D).
-        """
-        completed = self._history.total_days_completed
-        if completed == self._mu_days_seen:
-            return
-        self._mu_days_seen = completed
-        available = self._history.n_complete_days
-        if available == 0:
-            self._mu_row = None
-            self._eta_floor = 0.0
-            return
-        rows = self._history._recent_rows(min(self.params.days, available))
-        self._mu_row = rows.mean(axis=0)
-        self._eta_floor = max(
-            self.eta_floor_fraction * float(self._mu_row.max()), MU_EPS
-        )
-
-    def observe(self, value: float) -> float:
-        if value < 0:
-            raise ValueError(f"power sample must be non-negative, got {value}")
-        self._refresh_mu()
-        slot = self._history.current_slot
-        have_history = self._mu_row is not None
-
-        # eta for the *current* slot, appended before computing phi so the
-        # most recent ratio carries the largest weight theta(K)=1.
-        if have_history:
-            mu_now = self._mu_row[slot]
-            eta_now = value / mu_now if mu_now >= self._eta_floor else 1.0
-        else:
-            eta_now = 1.0
-        self._recent_eta.append(eta_now)
-
-        if have_history:
-            mu_next = self._mu_row[(slot + 1) % self.n_slots]
-            phi = self._phi()
-            prediction = (
-                self.params.alpha * value
-                + (1.0 - self.params.alpha) * mu_next * phi
-            )
-        else:
-            prediction = value  # warm-up: pure persistence
-
-        self._history.push_slot(value)
-        return float(prediction)
-
-    def _phi(self) -> float:
-        """Conditioning factor over the buffered ratios (Eq. 3).
-
-        With fewer than K ratios buffered (start of trace) the missing,
-        oldest ratios are taken as the neutral 1.0.
-        """
-        k_param = self.params.k
-        n_have = len(self._recent_eta)
-        etas = np.ones(k_param, dtype=float)
-        if n_have:
-            etas[k_param - n_have :] = list(self._recent_eta)
-        return float(np.dot(self._theta, etas) / self._theta_sum)
-
-
-class WCMAVector(VectorPredictor):
-    """Lock-step WCMA over a batch of ``B`` independent nodes.
-
-    State mirrors :class:`WCMAPredictor` with a trailing batch axis:
-    the history matrix is ``(D, N, B)``, the ``η`` ring buffer is
-    ``(K, B)`` (pre-filled with the neutral 1.0, matching the scalar
-    predictor's padding of missing ratios), and the dawn-guard floor is
-    per node.  The slot/day counters are shared scalars because every
-    node crosses the same boundary at once.
-
-    Parameters are shared across the batch; a heterogeneous fleet mixes
-    parameter sets by running one :class:`WCMAVector` per distinct
-    configuration (this is what :class:`~repro.management.fleet.FleetSimulator`
-    does when it groups nodes).
-    """
-
-    def __init__(
-        self,
-        n_slots: int,
-        params: WCMAParams,
-        batch_size: int,
-        eta_floor_fraction: float = ETA_FLOOR_FRACTION,
-    ):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if not 0.0 <= eta_floor_fraction < 1.0:
-            raise ValueError(
-                f"eta_floor_fraction must be in [0, 1), got {eta_floor_fraction}"
-            )
-        self.n_slots = n_slots
-        self.params = params
-        self.batch_size = batch_size
-        self.eta_floor_fraction = eta_floor_fraction
-        self._history = FleetDayHistory(
-            n_slots=n_slots, depth=params.days, batch_size=batch_size
-        )
-        self._theta = WCMAParams.theta(params.k)
-        self._theta_sum = float(self._theta.sum())
-        self._recent_eta = np.ones((params.k, batch_size), dtype=float)
-        self._mu_rows: np.ndarray = None  # (N, B); fixed within a day
-        self._eta_floor = np.zeros(batch_size, dtype=float)
-        self._mu_days_seen = 0
-
-    def reset(self) -> None:
-        self._history.reset()
-        self._recent_eta.fill(1.0)
-        self._mu_rows = None
-        self._eta_floor.fill(0.0)
-        self._mu_days_seen = 0
-
-    def _refresh_mu(self) -> None:
-        completed = self._history.total_days_completed
-        if completed == self._mu_days_seen:
-            return
-        self._mu_days_seen = completed
-        self._mu_rows = self._history.mu_rows(self.params.days)
-        if self._mu_rows is None:
-            self._eta_floor.fill(0.0)
-            return
-        self._eta_floor = np.maximum(
-            self.eta_floor_fraction * self._mu_rows.max(axis=0), MU_EPS
-        )
-
-    def observe(self, values: np.ndarray) -> np.ndarray:
-        values = as_batch(values, self.batch_size)
-        self._refresh_mu()
-        slot = self._history.current_slot
-        have_history = self._mu_rows is not None
-
-        if have_history:
-            mu_now = self._mu_rows[slot]
-            bright = mu_now >= self._eta_floor
-            eta_now = np.ones(self.batch_size, dtype=float)
-            np.divide(values, mu_now, out=eta_now, where=bright)
-        else:
-            eta_now = np.ones(self.batch_size, dtype=float)
-        # Roll the (K, B) ring: oldest ratio falls off the front, the
-        # newest lands at the back where theta(K) = 1 weights it most.
-        self._recent_eta[:-1] = self._recent_eta[1:]
-        self._recent_eta[-1] = eta_now
-
-        if have_history:
-            mu_next = self._mu_rows[(slot + 1) % self.n_slots]
-            phi = self._theta @ self._recent_eta / self._theta_sum
-            prediction = (
-                self.params.alpha * values
-                + (1.0 - self.params.alpha) * mu_next * phi
-            )
-        else:
-            prediction = values.copy()  # warm-up: pure persistence
-
-        self._history.push_slot(values)
-        return prediction
+        kernel._mu_days_seen = -1
 
 
 def mu_matrix(starts: np.ndarray, days: int) -> np.ndarray:

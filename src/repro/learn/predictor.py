@@ -2,8 +2,8 @@
 
 :class:`LearnedKernel` is a :class:`~repro.core.base.VectorPredictor`
 advancing ``B`` lock-step nodes, and :class:`LearnedPredictor` is its
-scalar :class:`~repro.core.base.OnlinePredictor` face (a ``B == 1``
-kernel), so scalar/vector parity holds by construction and both plug
+:class:`~repro.core.base.ScalarFace` (a ``B == 1`` kernel behind the
+scalar protocol), so scalar/vector parity holds by construction and both plug
 into the registry, :class:`~repro.management.fleet.FleetSimulator`, the
 robustness matrix and ``repro-solar serve`` unchanged.
 
@@ -43,7 +43,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.core.base import OnlinePredictor, VectorPredictor, as_batch
+from repro.core.base import ScalarFace, VectorPredictor, as_batch
 from repro.learn.artifact import ModelArtifact
 from repro.learn.features import (
     FEATURE_SCHEMA_VERSION,
@@ -233,12 +233,7 @@ class LearnedKernel(VectorPredictor):
                 f"param dict is a {params.get('kind')!r} model; "
                 f"kernel expects {self.model!r}"
             )
-        if self.model == "ridge":
-            self._mean[:] = params["mean"]
-            self._scale[:] = params["scale"]
-            self._w[:] = params["weights"]
-            self._b[:] = params["intercept"]
-        else:
+        if self.model == "gbm":
             rounds = np.asarray(params["feat"]).shape[0]
             if rounds != self._gb_feat.shape[1]:
                 # The artifact's round count wins; reallocate to match.
@@ -246,42 +241,26 @@ class LearnedKernel(VectorPredictor):
                 self._gb_thr = np.zeros((self.batch_size, rounds), dtype=float)
                 self._gb_left = np.zeros((self.batch_size, rounds), dtype=float)
                 self._gb_right = np.zeros((self.batch_size, rounds), dtype=float)
-            self._gb_base[:] = params["base"]
-            self._gb_lr = float(params["learning_rate"])
-            self._gb_feat[:] = params["feat"]
-            self._gb_thr[:] = params["thr"]
-            self._gb_left[:] = params["left"]
-            self._gb_right[:] = params["right"]
+        self._store_params(slice(None), params)
 
-    def _store_params(self, node: int, params: dict) -> None:
-        """Write one node's freshly fitted params into the stacked state."""
-        if self.model == "ridge":
-            self._mean[node] = params["mean"]
-            self._scale[node] = params["scale"]
-            self._w[node] = params["weights"]
-            self._b[node] = params["intercept"]
-        else:
-            self._gb_base[node] = params["base"]
-            self._gb_lr = float(params["learning_rate"])
-            self._gb_feat[node] = params["feat"]
-            self._gb_thr[node] = params["thr"]
-            self._gb_left[node] = params["left"]
-            self._gb_right[node] = params["right"]
+    def _store_params(self, nodes, params: dict) -> None:
+        """Write fitted params into the stacked state.
 
-    def _store_params_batch(self, params: dict) -> None:
-        """Write a stacked batch-fit result over every node at once."""
+        ``nodes`` is one node index, or ``slice(None)`` for every node
+        (a stacked batch-fit result, or one node's params broadcast).
+        """
         if self.model == "ridge":
-            self._mean[...] = params["mean"]
-            self._scale[...] = params["scale"]
-            self._w[...] = params["weights"]
-            self._b[...] = params["intercept"]
+            self._mean[nodes] = params["mean"]
+            self._scale[nodes] = params["scale"]
+            self._w[nodes] = params["weights"]
+            self._b[nodes] = params["intercept"]
         else:
-            self._gb_base[...] = params["base"]
+            self._gb_base[nodes] = params["base"]
             self._gb_lr = float(params["learning_rate"])
-            self._gb_feat[...] = params["feat"]
-            self._gb_thr[...] = params["thr"]
-            self._gb_left[...] = params["left"]
-            self._gb_right[...] = params["right"]
+            self._gb_feat[nodes] = params["feat"]
+            self._gb_thr[nodes] = params["thr"]
+            self._gb_left[nodes] = params["left"]
+            self._gb_right[nodes] = params["right"]
 
     def _predict(self, feats: np.ndarray) -> np.ndarray:
         if self.model == "ridge":
@@ -424,8 +403,8 @@ class LearnedKernel(VectorPredictor):
                 self._store_params(b, params)
         else:
             rng = np.random.default_rng([self.training.seed, self._fit_count])
-            self._store_params_batch(
-                fit_model_batch(self.model, Xw, yw, self.training, rng)
+            self._store_params(
+                slice(None), fit_model_batch(self.model, Xw, yw, self.training, rng)
             )
         self._fitted = True
         self._fit_count += 1
@@ -531,29 +510,18 @@ class LearnedKernel(VectorPredictor):
                 )
             self._X[...] = X
             self._y[...] = y
-        if self.model == "ridge":
-            saved = state["ridge"]
-            self._mean[...] = saved["mean"]
-            self._scale[...] = saved["scale"]
-            self._w[...] = saved["weights"]
-            self._b[...] = saved["intercept"]
-        else:
-            saved = state["gbm"]
+        saved = state[self.model]
+        if self.model == "gbm":
             feat = np.asarray(saved["feat"], dtype=np.int64)
             if feat.shape != self._gb_feat.shape:
                 raise ValueError(
                     f"snapshot stump arrays have shape {feat.shape}; "
                     f"expected {self._gb_feat.shape}"
                 )
-            self._gb_base[...] = saved["base"]
-            self._gb_lr = float(saved["learning_rate"])
-            self._gb_feat[...] = feat
-            self._gb_thr[...] = saved["thr"]
-            self._gb_left[...] = saved["left"]
-            self._gb_right[...] = saved["right"]
+        self._store_params(slice(None), saved)
 
 
-class LearnedPredictor(OnlinePredictor):
+class LearnedPredictor(ScalarFace):
     """Scalar face of :class:`LearnedKernel` (one node, same arithmetic).
 
     Accepts every kernel keyword; ``make_predictor("ridge", N, ...)``
@@ -561,9 +529,7 @@ class LearnedPredictor(OnlinePredictor):
     """
 
     def __init__(self, n_slots: int, model: Optional[str] = None, **kwargs):
-        self._kernel = LearnedKernel(n_slots, batch_size=1, model=model, **kwargs)
-        self.n_slots = n_slots
-        self._buf = np.zeros(1, dtype=float)
+        super().__init__(LearnedKernel(n_slots, batch_size=1, model=model, **kwargs))
 
     # Delegated surface ------------------------------------------------
     @property
@@ -594,16 +560,3 @@ class LearnedPredictor(OnlinePredictor):
     def provide_slot_mean(self, mean_watts: float) -> None:
         """Report the just-finished slot's realized mean power."""
         self._kernel.provide_slot_mean(np.array([float(mean_watts)]))
-
-    def reset(self) -> None:
-        self._kernel.reset()
-
-    def observe(self, value: float) -> float:
-        self._buf[0] = value
-        return float(self._kernel.observe(self._buf)[0])
-
-    def state_dict(self) -> dict:
-        return self._kernel.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        self._kernel.load_state_dict(state)

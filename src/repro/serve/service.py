@@ -51,6 +51,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, Optional
 
+from repro.core.base import OnlinePredictor
 from repro.core.registry import make_predictor
 from repro.serve.state import StateStore, state_digest
 
@@ -82,7 +83,9 @@ class ForecastService:
         Slots per day served to every predictor (``N``); a site's
         native samples-per-day must be divisible by it.
     predictor:
-        Registry name (``wcma``, ``ewma``, ...) instantiated per site.
+        Registry name (``wcma``, ``ewma``, ...) instantiated per site;
+        it must support ``state_dict`` checkpointing, or construction
+        raises ``ValueError``.
     state_dir:
         Directory of the :class:`~repro.serve.state.StateStore`; None
         disables persistence (state lives and dies with the process).
@@ -132,9 +135,17 @@ class ForecastService:
         self._op_counts: Dict[str, int] = {}
         self._resumed: Dict[str, str] = {}  # site -> digest resumed from
         self._artifacts: Dict[str, str] = {}  # site -> artifact digest
-        # Fail fast on an unknown predictor name / bad kwargs, before
-        # the daemon prints its ready line.
-        make_predictor(self.predictor_name, n_slots, **self.predictor_kwargs)
+        # Fail fast, before the daemon prints its ready line, on an
+        # unknown predictor name, bad kwargs, or a predictor whose state
+        # cannot be checkpointed (every observe digests it).  Checked on
+        # the class, so construction takes no snapshot (perfbench pins
+        # two per durable observe).
+        probe = make_predictor(self.predictor_name, n_slots, **self.predictor_kwargs)
+        if type(probe).state_dict is OnlinePredictor.state_dict:
+            raise ValueError(
+                f"predictor {self.predictor_name!r} cannot be served: "
+                "it does not support state checkpointing"
+            )
 
     # ------------------------------------------------------------------
     # Front door

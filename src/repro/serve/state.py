@@ -20,8 +20,9 @@ directory):
 * written **atomically** (temp file in the same directory +
   ``os.replace``, the idiom of :mod:`repro.parallel.cache`), so a crash
   or SIGKILL mid-write leaves the previous checkpoint intact;
-* fingerprinted by :func:`state_digest` -- a short sha256 of the
-  canonically pickled state -- which the serve audit lines carry so an
+* fingerprinted by :func:`state_digest` -- a short sha256 over a
+  type-tagged encoding of the state's values (not of its pickle, which
+  is not value-stable) -- which the serve audit lines carry so an
   operator can tie any logged prediction to the exact model state that
   produced it.
 """

@@ -1,5 +1,6 @@
 """Tests for the realizable adaptive selectors."""
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive import (
@@ -9,8 +10,9 @@ from repro.core.adaptive import (
     SoftminSelector,
     compact_grid,
 )
-from repro.core.wcma import WCMAParams
+from repro.core.wcma import WCMAParams, WCMAPredictor
 from repro.metrics.evaluate import evaluate_predictor
+from repro.solar.slots import SlotView
 
 SMALL_GRID = [
     WCMAParams(alpha=a, days=5, k=k) for a in (0.0, 0.5, 1.0) for k in (1, 2)
@@ -137,6 +139,21 @@ class TestBehaviour:
     def test_rejects_negative_sample(self):
         with pytest.raises(ValueError):
             FollowTheLeaderSelector(4).observe(-5.0)
+
+
+class TestExpertKernel:
+    def test_kernel_columns_equal_standalone_predictors(self, pfci_trace):
+        """Column b of the expert kernel is WCMAPredictor(N, grid[b]), bitwise."""
+        selector = SoftminSelector(48, grid=compact_grid())
+        starts = SlotView.from_trace(pfci_trace, 48).flat_starts()
+        columns = np.empty((starts.size, len(selector.grid)))
+        for t, value in enumerate(starts):
+            selector.observe(float(value))
+            columns[t] = selector._last_predictions
+        for b, params in enumerate(selector.grid):
+            np.testing.assert_array_equal(
+                columns[:, b], WCMAPredictor(48, params).run(starts), err_msg=str(params)
+            )
 
 
 class TestEndToEnd:

@@ -9,6 +9,7 @@ from repro.core.wcma import (
     WCMABatch,
     WCMAParams,
     WCMAPredictor,
+    WCMAVector,
     mu_matrix,
 )
 from repro.solar.slots import SlotView
@@ -135,6 +136,35 @@ class TestOnlinePredictor:
         prediction = predictor.observe(200.0)  # slot 1, eta = 2
         # mu(slot 2) = 200, phi = 2 -> prediction 400.
         assert prediction == pytest.approx(400.0)
+
+
+class TestVectorKernel:
+    GRID = [
+        WCMAParams(0.7, 10, 2),
+        WCMAParams(0.45, 5, 3),
+        WCMAParams(0.9, 15, 10),
+        WCMAParams(0.55, 1, 1),
+        WCMAParams(0.0, 4, 7),
+        WCMAParams(1.0, 2, 5),
+    ]
+
+    def test_per_column_params_equal_single_params_kernels(
+        self, hsu_trace, pfci_trace
+    ):
+        hsu = SlotView.from_trace(hsu_trace, 48).flat_starts()
+        pfci = SlotView.from_trace(pfci_trace, 48).flat_starts()[: hsu.size]
+        samples = np.column_stack([hsu, pfci] * 3)
+        mixed = WCMAVector(48, self.GRID, batch_size=len(self.GRID)).run(samples)
+        for b, params in enumerate(self.GRID):
+            alone = WCMAVector(48, params, batch_size=1).run(samples[:, [b]])
+            np.testing.assert_array_equal(mixed[:, b], alone[:, 0], err_msg=str(params))
+
+    def test_params_kept_and_validated(self):
+        params = WCMAParams(0.7, 10, 2)
+        assert WCMAVector(48, params, batch_size=3).params is params
+        assert WCMAPredictor(48, params).params is params
+        with pytest.raises(ValueError, match="2 parameter sets for batch_size=3"):
+            WCMAVector(48, [params, params], batch_size=3)
 
 
 class TestBatchEngine:

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.registry import make_predictor
+from repro.core.registry import available_predictors, make_predictor
 from repro.serve import ForecastService
 from repro.solar.datasets import build_dataset
 from repro.solar.slots import SlotView
@@ -82,6 +82,40 @@ class TestProtocol:
     def test_unknown_predictor_rejected_at_construction(self):
         with pytest.raises(KeyError, match="nope"):
             ForecastService(predictor="nope")
+
+    @pytest.mark.parametrize("name", available_predictors())
+    def test_every_predictor_serves_or_is_refused(self, name, tmp_path):
+        """Register, observe and restart-resume -- or refuse up front."""
+        if name not in ("wcma", "ewma", "ridge", "gbm"):
+            with pytest.raises(NotImplementedError):
+                make_predictor(name, 48).state_dict()
+            with pytest.raises(ValueError, match=f"{name!r} cannot be served"):
+                ForecastService(n_slots=48, predictor=name, state_dir=tmp_path)
+            return
+        values = [0.0, 120.0, 340.5, 80.25, 15.0]
+        unbroken = ForecastService(n_slots=48, predictor=name)
+        unbroken.handle({"op": "register", "site": "SPMD"})
+        expected = [
+            unbroken.handle({"op": "observe", "site": "SPMD", "value": v})
+            for v in values
+        ]
+        first = ForecastService(n_slots=48, predictor=name, state_dir=tmp_path)
+        assert first.handle({"op": "register", "site": "SPMD"})["ok"]
+        head = [
+            first.handle({"op": "observe", "site": "SPMD", "value": v})
+            for v in values[:3]
+        ]
+        second = ForecastService(n_slots=48, predictor=name, state_dir=tmp_path)
+        reg = second.handle({"op": "register", "site": "SPMD"})
+        assert reg["resumed_from"] == head[-1]["state_digest"]
+        tail = [
+            second.handle({"op": "observe", "site": "SPMD", "value": v})
+            for v in values[3:]
+        ]
+        for got, want in zip(head + tail, expected):
+            assert got["ok"]
+            assert got["prediction"] == want["prediction"]
+            assert got["state_digest"] == want["state_digest"]
 
     def test_sites_and_stats(self):
         svc = ForecastService(n_slots=48)

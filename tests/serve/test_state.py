@@ -22,6 +22,8 @@ from repro.serve.state import (
     StateStore,
     state_digest,
 )
+from repro.solar.datasets import build_dataset
+from repro.solar.slots import SlotView
 
 
 def sample_stream(n_slots=48, days=6, seed=0):
@@ -64,6 +66,14 @@ class TestCheckpointResume:
         before = state_digest(snap)
         p.observe(500.0)
         assert state_digest(snap) == before, "snapshot aliased live state"
+
+    def test_wcma_eta_count_mismatch_rejected(self):
+        p = PREDICTORS["wcma"]()
+        p.observe(10.0)
+        snap = p.state_dict()
+        snap["recent_eta"] = [1.0, 1.0]
+        with pytest.raises(ValueError, match="eta ratios"):
+            PREDICTORS["wcma"]().load_state_dict(snap)
 
     def test_wcma_config_mismatch_rejected(self):
         snap = PREDICTORS["wcma"]().state_dict()
@@ -109,6 +119,28 @@ def make_and_replay(name, values):
     for v in values:
         p.observe(v)
     return p
+
+
+#: ``(predictor, factory kwargs, observed SPMD samples, digest)``.  A
+#: checkpoint outlives the build that wrote it (state dirs, audit
+#: logs), so its layout and values are pinned as literals -- a drift
+#: that an in-process round trip cannot see fails here.  A single
+#: observation leaves ``recent_eta`` shorter than K.
+PINNED_DIGESTS = [
+    ("wcma", {}, 12 * 48 + 20, "1e2197205dd51585"),
+    ("wcma", {"days": 4, "k": 5}, 12 * 48 + 20, "b5b78cfb6c53cb0c"),
+    ("ewma", {}, 12 * 48 + 20, "8b567084139c91c0"),
+    ("wcma", {}, 1, "77f880f51e254b68"),
+]
+
+
+@pytest.mark.parametrize("name,kwargs,count,digest", PINNED_DIGESTS)
+def test_checkpoint_digest_pinned_across_builds(name, kwargs, count, digest):
+    starts = SlotView.from_trace(build_dataset("SPMD", n_days=13), 48).flat_starts()
+    predictor = make_predictor(name, 48, **kwargs)
+    for value in starts[:count]:
+        predictor.observe(float(value))
+    assert state_digest(predictor.state_dict()) == digest
 
 
 class TestStateDigest:

@@ -85,6 +85,14 @@ class TestValueErrorsExitCleanly:
         assert code == 2
         assert "does not divide" in capsys.readouterr().err
 
+    def test_serve_refuses_uncheckpointable_predictor(self, capsys):
+        code = main(["serve", "--predictor", "persistence"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "'persistence'" in captured.err and "checkpoint" in captured.err
+        assert "ready" not in captured.out  # refused before the ready line
+
     @pytest.mark.parametrize(
         "argv",
         [

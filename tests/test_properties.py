@@ -102,7 +102,7 @@ class TestPredictorProperties:
             # neutral ratio while the Q15 path lets the (saturating)
             # division through -- a saturated Q13 ratio marks the same
             # by-design divergence.
-            if any(eta > q13_ceiling for eta in flt._recent_eta):
+            if any(eta > q13_ceiling for eta in flt.state_dict()["recent_eta"]):
                 continue
             if any(eta_q >= Q13_MAX for eta_q in q15._recent_eta_q13):
                 continue
