@@ -51,6 +51,7 @@ MAPE values on sunny sites.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple, Union
 
@@ -408,6 +409,12 @@ class WCMABatch:
     The pre-v2 kernels are preserved in
     :mod:`repro.core.sweep_reference` and pinned against these by the
     parity suite.
+
+    One batch may serve several threads at once (the thread backend
+    runs experiment units that share a memoised batch): the memos only
+    ever gain whole, finished arrays, the ``Φ`` running sums advance on
+    private copies, and the :meth:`conditioned_stack` workspace is per
+    thread.
     """
 
     def __init__(self, view: SlotView, eta_floor_fraction: float = ETA_FLOOR_FRACTION):
@@ -425,13 +432,13 @@ class WCMABatch:
         self._mu_cache: Dict[int, np.ndarray] = {}
         self._eta_cache: Dict[int, np.ndarray] = {}
         self._phi_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._window_cache: Dict[int, list] = {}  # D -> [K_done, B, W]
+        self._window_cache: Dict[int, tuple] = {}  # D -> (K_done, B, W)
         self._q_cache: Dict[Tuple[int, int], np.ndarray] = {}
         # conditioned_stack workspace, keyed by its shape: repeated
         # sweep chunks reuse the lag/window buffers instead of paying a
-        # fresh multi-MB allocation (page faults) per chunk.
-        self._stack_scratch_key: Tuple[int, int, int] = None
-        self._stack_scratch: Tuple[np.ndarray, np.ndarray, np.ndarray] = None
+        # fresh multi-MB allocation (page faults) per chunk.  Per thread,
+        # so concurrent sweeps on one batch never share a buffer.
+        self._stack_scratch = threading.local()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -529,12 +536,14 @@ class WCMABatch:
             raise ValueError("K must be >= 1")
         key = (days, k_param)
         if key not in self._phi_cache:
-            state = self._window_cache.get(days)
-            if state is None:
-                zeros = np.zeros(self.n_boundaries, dtype=float)
-                state = [0, zeros, zeros.copy()]
-                self._window_cache[days] = state
-            k_done, window, weighted = state
+            # Advance copies of the running sums and publish them whole:
+            # another thread may be advancing the same D concurrently.
+            k_done, window, weighted = self._window_cache.get(days, (0, None, None))
+            if window is None:
+                window = np.zeros(self.n_boundaries, dtype=float)
+                weighted = np.zeros(self.n_boundaries, dtype=float)
+            else:
+                window, weighted = window.copy(), weighted.copy()
             eta = self.eta_flat(days)
             for k in range(k_done + 1, k_param + 1):
                 lag = k - 1
@@ -546,7 +555,8 @@ class WCMABatch:
                 phi = (k * window - weighted) * (2.0 / (k * (k + 1)))
                 phi[: k - 1] = np.nan  # incomplete lookback at trace start
                 self._phi_cache[(days, k)] = phi
-            state[0] = max(k_done, k_param)
+            if k_param > k_done:
+                self._window_cache[days] = (k_param, window, weighted)
         return self._phi_cache[key]
 
     def conditioned_term(self, days: int, k_param: int) -> np.ndarray:
@@ -603,15 +613,16 @@ class WCMABatch:
         n_block = len(days_seq)
         max_k = max(ks_seq)
         n_sel = idx.size
+        scratch = self._stack_scratch
         scratch_key = (n_block, max_k, n_sel)
-        if self._stack_scratch_key == scratch_key:
-            lags, numer, mu_next = self._stack_scratch
-        else:
-            lags = np.empty((n_block, max_k, n_sel), dtype=float)
-            numer = np.empty((n_block, n_sel), dtype=float)
-            mu_next = np.empty((n_block, n_sel), dtype=float)
-            self._stack_scratch_key = scratch_key
-            self._stack_scratch = (lags, numer, mu_next)
+        if getattr(scratch, "key", None) != scratch_key:
+            scratch.key = scratch_key
+            scratch.buffers = (
+                np.empty((n_block, max_k, n_sel), dtype=float),
+                np.empty((n_block, n_sel), dtype=float),
+                np.empty((n_block, n_sel), dtype=float),
+            )
+        lags, numer, mu_next = scratch.buffers
         nxt = idx + 1
         for ci, d in enumerate(days_seq):
             mu_next[ci] = self.mu_flat(d)[nxt]

@@ -26,11 +26,14 @@ Both memos are per process.  Under the parallel runner
 (:func:`repro.experiments.runner.run_all` with ``jobs > 1``) every
 worker process grows its own copies for the (experiment, site) units it
 executes; nothing is pickled or shared between workers, so cache state
-never crosses process boundaries.
+never crosses process boundaries.  ``backend="thread"`` workers do
+share both memos and the batches in them, so the LRU's bookkeeping
+runs under a lock and a batch is safe to sweep from several threads.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -68,6 +71,9 @@ PAPER_N_VALUES = (288, 96, 72, 48, 24)
 BATCH_CACHE_MAX_ENTRIES = 8
 
 _BATCH_CACHE: "OrderedDict[Tuple[str, int, int, object], WCMABatch]" = OrderedDict()
+#: Guards the LRU's bookkeeping (not the batch build): thread-backend
+#: units look up, refresh and evict entries concurrently.
+_BATCH_LOCK = threading.Lock()
 
 _TRACE_CACHE: Dict[Tuple[str, int, object], SolarTrace] = {}
 
@@ -106,20 +112,24 @@ def batch_for(site: str, n_days: int, n_slots: int) -> WCMABatch:
     from repro.solar.datasets import dataset_token
 
     key = (site.upper(), n_days, n_slots, dataset_token(site))
-    if key in _BATCH_CACHE:
+    with _BATCH_LOCK:
+        if key in _BATCH_CACHE:
+            _BATCH_CACHE.move_to_end(key)
+            return _BATCH_CACHE[key]
+    batch = WCMABatch.from_trace(trace_for(site, n_days), n_slots)
+    with _BATCH_LOCK:
+        # A concurrent miss may have stored this key first: share it.
+        batch = _BATCH_CACHE.setdefault(key, batch)
         _BATCH_CACHE.move_to_end(key)
-        return _BATCH_CACHE[key]
-    trace = trace_for(site, n_days)
-    batch = WCMABatch.from_trace(trace, n_slots)
-    _BATCH_CACHE[key] = batch
-    while len(_BATCH_CACHE) > BATCH_CACHE_MAX_ENTRIES:
-        _BATCH_CACHE.popitem(last=False)
+        while len(_BATCH_CACHE) > BATCH_CACHE_MAX_ENTRIES:
+            _BATCH_CACHE.popitem(last=False)
     return batch
 
 
 def clear_batch_cache() -> None:
     """Drop memoised batches and traces (tests)."""
-    _BATCH_CACHE.clear()
+    with _BATCH_LOCK:
+        _BATCH_CACHE.clear()
     _TRACE_CACHE.clear()
 
 

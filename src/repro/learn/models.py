@@ -25,8 +25,9 @@ per-node copies of the same arrays for batched prediction.
 :func:`fit_gbm_batch` fit ``B`` independent nodes from one stacked
 ``(n, B, F)`` / ``(n, B)`` training window in a single pass: batched
 normal equations through ``np.linalg.solve`` over ``(B, F, F)``, and a
-cross-node stump search whose per-round ``(B, F, n_sub, Q)`` split-gain
-tensor is reduced by one stacked gufunc matmul.  Both are pinned
+cross-node stump search that scores every (node, feature) pair's
+``(n_sub, Q)`` split mask per round with stacked gufunc matmuls, a
+cache-sized chunk of pairs at a time.  Both are pinned
 *bitwise* against the frozen scalar loops in
 :mod:`repro.learn.reference` -- split selection is an argmax over
 gains, so "close" is not good enough; every stacked operation here is
@@ -47,7 +48,7 @@ import numpy as np
 
 __all__ = [
     "MODEL_KINDS",
-    "GBM_FULL_BATCH_BUDGET",
+    "GBM_MASK_CHUNK",
     "TrainingConfig",
     "fit_standardizer",
     "fit_ridge",
@@ -61,14 +62,15 @@ __all__ = [
     "predict_model",
 ]
 
-#: Largest per-round split-mask tensor (bool elements, ``B*F*n_sub*Q``)
-#: the GBM batch kernel materialises across all nodes at once.  Above
-#: it the kernel switches to a per-node F-stacked formulation -- both
-#: are bitwise-identical to the reference loop, so the switch is purely
-#: a working-set/perf knob: full-batch wins when the tensor fits cache
-#: (small windows, the fleet refit shape), per-node streaming wins on
-#: steady-state 60-day windows.
-GBM_FULL_BATCH_BUDGET = 16_000_000
+#: Float64 split-mask elements the GBM batch kernel builds at once:
+#: whole ``(n_sub, Q)`` masks of as many (node, feature) pairs as fit,
+#: and never fewer than one.  The mask is written once and read by two
+#: matmuls, so it pays to keep it in cache (2**16 elements = 512 KiB,
+#: the fastest of 2**14..2**18 at the bench's refit shapes).  Every chunk
+#: size gives the same bits -- each pair's matmul core slice is the
+#: reference's own ``(n_sub,) @ (n_sub, Q)`` -- so this is a pure
+#: working-set knob.
+GBM_MASK_CHUNK = 1 << 16
 
 #: Registered learned-model kinds (registry names match).
 MODEL_KINDS = ("ridge", "gbm")
@@ -251,12 +253,17 @@ def fit_gbm_batch(
     The per-fit subsample stream is node-position-independent (the
     online kernel reseeds every node from ``(seed, fit_index)``), so
     one shared ``idx`` per round reproduces what ``B`` per-node
-    generators would draw, and the whole round reduces to one stacked
-    mask build + count + gufunc matmul.  Nodes stop splitting
-    independently: a node whose best gain is not positive goes
-    permanently inactive (monotone, like the reference ``break``) and
-    its remaining stumps stay neutral zeros, which also makes its
-    residual update an exact no-op.
+    generators would draw.  Each round then scores all ``B * F``
+    (node, feature) pairs in chunks of :data:`GBM_MASK_CHUNK` mask
+    elements: the chunk's ``(pairs, n_sub, Q)`` float mask is built
+    once, in cache, in the reference's C layout, and two stacked
+    matmuls read it -- a row of ones for the left counts (integer
+    sums, exact in any order) and the pair's residual row for the left
+    sums (core slices ``(n_sub,) @ (n_sub, Q)``, the reference's own
+    gemv).  Nodes stop splitting independently: a node whose best gain
+    is not positive goes permanently inactive (monotone, like the
+    reference ``break``) and its remaining stumps stay neutral zeros,
+    which also makes its residual update an exact no-op.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -286,35 +293,42 @@ def fit_gbm_batch(
         n_sub = max(2 * min_leaf, int(n * config.gbm_subsample + 0.5))
         n_sub = min(n_sub, n)
 
-    full_batch = B * n_features * n_sub * n_thresholds <= GBM_FULL_BATCH_BUDGET
+    # (node, feature) pairs, node-major: the rows of X per pair, each
+    # pair's thresholds and its node (whose residual row it scores).
+    n_pairs = B * n_features
+    X_pairs = np.ascontiguousarray(X.transpose(1, 2, 0)).reshape(n_pairs, n)
+    thr_pairs = thr_bf.reshape(n_pairs, n_thresholds)
+    pair_node = np.repeat(np.arange(B), n_features)
+    chunk = max(1, min(n_pairs, GBM_MASK_CHUNK // (n_sub * n_thresholds)))
+    mask = np.empty((chunk, n_sub, n_thresholds))
+    ones = np.ones((1, n_sub))
+    counts = np.empty((n_pairs, 1, n_thresholds))
+    sums = np.empty((n_pairs, 1, n_thresholds))
+
     active = np.ones(B, dtype=bool)
     nodes = np.arange(B)
-    n_left = np.zeros((B, n_features, n_thresholds), dtype=np.int64)
-    s_left = np.zeros((B, n_features, n_thresholds), dtype=float)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(rounds):
             if n_sub < n:
                 idx = np.sort(rng.choice(n, size=n_sub, replace=False))
-                Xr, rr = X[idx], residual[idx]
+                Xr, rr = X_pairs[:, idx], residual[idx]
             else:
-                Xr, rr = X, residual
+                Xr, rr = X_pairs, residual
             rrT = np.ascontiguousarray(rr.T)  # (B, n_sub)
             r_total = rrT.sum(axis=1)  # (B,) == per-node rr.sum()
-            Xr_t = Xr.transpose(1, 2, 0)  # (B, F, n_sub) view
-            if full_batch:
-                # One stacked (B, F, n_sub, Q) mask; the matmul's core
-                # slices are the reference (1, n_sub) @ (n_sub, Q).
-                mask = Xr_t[:, :, :, None] <= thr_bf[:, :, None, :]
-                n_left = mask.sum(axis=2)
-                s_left = np.matmul(rrT[:, None, None, :], mask)[:, :, 0, :]
-            else:
-                for b in range(B):
-                    if not active[b]:
-                        continue
-                    mask_b = Xr_t[b][:, :, None] <= thr_bf[b][:, None, :]
-                    n_left[b] = mask_b.sum(axis=1)
-                    s_left[b] = np.matmul(rrT[b], mask_b)  # (F, Q)
+            for start in range(0, n_pairs, chunk):
+                stop = min(start + chunk, n_pairs)
+                m = mask[: stop - start]
+                np.less_equal(
+                    Xr[start:stop, :, None], thr_pairs[start:stop, None, :], out=m
+                )
+                np.matmul(ones, m, out=counts[start:stop])
+                np.matmul(
+                    rrT[pair_node[start:stop], None, :], m, out=sums[start:stop]
+                )
+            n_left = counts.reshape(B, n_features, n_thresholds).astype(np.int64)
+            s_left = sums.reshape(B, n_features, n_thresholds)
             n_right = n_sub - n_left
             ok = (n_left >= min_leaf) & (n_right >= min_leaf)
             s_right = r_total[:, None, None] - s_left

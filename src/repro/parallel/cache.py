@@ -253,7 +253,11 @@ class ResultCache:
             return
         for sub in sorted(self.root.iterdir()):
             if sub.is_dir() and len(sub.name) == 2:
-                yield from sorted(sub.glob("*.pkl"))
+                try:
+                    shard = sorted(sub.glob("*.pkl"))
+                except FileNotFoundError:
+                    continue  # a concurrent clear() removed the shard since the listing
+                yield from shard
 
     def info(self) -> dict:
         """Entry count, total bytes, root and salt (for ``cache info``).

@@ -21,12 +21,25 @@ The model here has two levels:
 2. **Intra-day AR(1) clear-sky index** (:class:`IntradayCloudModel`): for
    each day, ``k`` follows a mean-reverting AR(1) process around the day
    type's base level, with day-type-specific volatility and mean-reversion
-   speed.  PARTLY days additionally receive short multiplicative cloud
-   transients (passing cumulus) that create the bursty drops visible in
-   Fig. 2 of the paper.
+   speed, plus a slow drift and abrupt regime jumps.  PARTLY days (and
+   OVERCAST days, at half the rate) additionally receive short
+   multiplicative cloud transients (passing cumulus) that create the
+   bursty drops visible in Fig. 2 of the paper.
 
 Both levels draw from a caller-supplied :class:`numpy.random.Generator`
 so traces are exactly reproducible from a seed.
+
+**Draw-order invariant.**  A trace's bytes are a function of its seed
+only because the stream is consumed in one fixed order: day by day,
+and within a day innovations, initial index, drift steps, jumps, then
+transients (:meth:`IntradayCloudModel.sample_days` lists them).  The
+sampler draws a whole run of days in that order first and only then
+does the arithmetic, vectorised across days: the AR(1) is sequential in
+time but independent across days, so one step over every day at once
+replaces a Python loop per day, with each element's floating-point
+operations unchanged.  Any change to the draw order, or to the order of
+the operations on one element, changes every trace downstream; the
+trace sha256 pins in the test suite catch both.
 """
 
 from __future__ import annotations
@@ -130,7 +143,8 @@ class CloudModelParams:
         Standard deviation of each jump's level change, per day type.
     transient_rate:
         Expected number of discrete cloud transients per *hour* on PARTLY
-        days (passing clouds that multiply ``k`` down sharply).
+        days, half that on OVERCAST days (passing clouds that multiply
+        ``k`` down sharply).
     transient_depth:
         Mean fractional attenuation of a transient (0.6 = drop to 40%).
     transient_minutes:
@@ -170,7 +184,7 @@ class CloudModelParams:
 
 
 class IntradayCloudModel:
-    """Generates a per-sample clear-sky index series for one day."""
+    """Generates per-sample clear-sky index series, one row per day."""
 
     def __init__(self, params: CloudModelParams):
         self.params = params
@@ -183,71 +197,141 @@ class IntradayCloudModel:
     ) -> np.ndarray:
         """Clear-sky index for one day on a uniform grid.
 
-        Returns an array of shape ``(samples_per_day,)`` clamped to
-        ``[k_min, k_max]``.
+        The one-day face of :meth:`sample_days`: returns an array of
+        shape ``(samples_per_day,)`` clamped to ``[k_min, k_max]``.
+        """
+        return self.sample_days([day_type], samples_per_day, rng)[0]
+
+    def sample_days(
+        self,
+        day_types: Sequence[int],
+        samples_per_day: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """Clear-sky index for consecutive days on a uniform grid.
+
+        Returns an array of shape ``(len(day_types), samples_per_day)``
+        clamped to ``[k_min, k_max]``.  Row ``d`` is, bit for bit, what a
+        day-at-a-time sampler drawing from the same stream gives for day
+        ``d`` (the test suite keeps such a sampler as the parity oracle).
+
+        Each day is a mean-reverting AR(1) around the day type's base
+        level, plus a slow random-walk drift, plus regime jumps,
+        multiplied by a mask of passing-cloud transients (PARTLY and
+        OVERCAST days), then clamped.  The work runs in three phases so
+        that only the random draws loop over days in Python:
+
+        1. *Draw.*  Walk the days in order and consume ``rng`` exactly
+           as a day-at-a-time sampler would: per day the innovation
+           vector, the initial index, the drift steps (only if the day
+           type drifts), the jump count, ``(position, size)`` per jump,
+           then on PARTLY and OVERCAST days the transient count, starts
+           and ``(duration, depth)`` per transient.  No draw depends on
+           the index, so all of them can precede the arithmetic; only
+           the stream order matters.
+        2. *Recur.*  Run the AR(1) once per time step over all days at
+           once, with each element's operations in the scalar loop's
+           order: ``prev + beta * (base - prev)``, then ``+ noise``.
+           numpy's elementwise ufuncs never fuse a multiply-add, so
+           every row equals the scalar loop exactly; a closed form,
+           linear filter or cumulative sum/product would reorder the
+           rounding.
+        3. *Shape.*  Add the drift, add each jump in draw order,
+           multiply by the mask and clip -- all elementwise, so applying
+           them to the whole block is exact.
         """
         if samples_per_day <= 0:
             raise ValueError("samples_per_day must be positive")
+        types = np.asarray(day_types)
+        if types.ndim != 1 or types.size == 0:
+            raise ValueError("day_types must be a non-empty 1-D sequence")
+        if types.dtype.kind not in "iu" or ((types < 0) | (types > 2)).any():
+            raise ValueError("day types must be integers in {0, 1, 2}")
         p = self.params
-        base = p.base_index[day_type]
-        sigma = p.volatility[day_type]
-        beta = p.mean_reversion[day_type]
+        spd = samples_per_day
+        n_days = types.size
 
-        # Mean-reverting AR(1) around the day-type base level.  Scale the
-        # per-step innovation so the *stationary* variance is resolution
-        # independent: sampling at 1 minute vs 5 minutes should describe
-        # the same weather.
-        steps_per_min = samples_per_day / (24.0 * 60.0)
-        step_beta = 1.0 - (1.0 - beta) ** (1.0 / max(steps_per_min * 5.0, 1e-9))
-        stationary_sd = sigma
-        innovation_sd = stationary_sd * np.sqrt(
-            max(1.0 - (1.0 - step_beta) ** 2, 1e-12)
-        )
-
-        noise = rng.normal(0.0, innovation_sd, size=samples_per_day)
-        k = np.empty(samples_per_day, dtype=float)
-        k[0] = base + rng.normal(0.0, stationary_sd)
-        for i in range(1, samples_per_day):
-            k[i] = k[i - 1] + step_beta * (base - k[i - 1]) + noise[i]
-
+        # Scale the per-step mean reversion and innovation so the
+        # *stationary* variance is resolution independent: sampling at
+        # 1 minute vs 5 minutes should describe the same weather.
+        steps_per_min = spd / (24.0 * 60.0)
+        step_beta = [
+            1.0 - (1.0 - beta) ** (1.0 / max(steps_per_min * 5.0, 1e-9))
+            for beta in p.mean_reversion
+        ]
+        innovation_sd = [
+            sigma * np.sqrt(max(1.0 - (1.0 - b) ** 2, 1e-12))
+            for sigma, b in zip(p.volatility, step_beta)
+        ]
         # Slow intra-day weather drift: a random walk whose end-of-day
         # standard deviation is day_drift[day_type].
-        drift_sd = p.day_drift[day_type]
-        if drift_sd > 0:
-            step_sd = drift_sd / np.sqrt(samples_per_day)
-            drift = np.cumsum(rng.normal(0.0, step_sd, size=samples_per_day))
-            k = k + drift
+        drift_step_sd = [sd / np.sqrt(spd) for sd in p.day_drift]
 
-        # Regime jumps: abrupt, persistent level changes at random instants.
-        n_jumps = rng.poisson(p.jump_rate[day_type])
-        for _ in range(n_jumps):
-            at = int(rng.integers(0, samples_per_day))
-            k[at:] += rng.normal(0.0, p.jump_sd[day_type])
+        # 1. Draw.  ``k`` holds the innovations (column 0: the initial
+        # index) and becomes the AR(1) in place; ``aux`` holds the drift
+        # walks and is reused for the transient mask.
+        k = np.empty((n_days, spd))
+        aux = np.empty((n_days, spd))
+        jumps = []  # (day, at, level change), in draw order
+        spans = []  # (day, start, end, mask level)
+        for day, t in enumerate(types.tolist()):
+            k[day] = rng.normal(0.0, innovation_sd[t], size=spd)
+            k[day, 0] = p.base_index[t] + rng.normal(0.0, p.volatility[t])
+            if p.day_drift[t] > 0:
+                np.cumsum(rng.normal(0.0, drift_step_sd[t], size=spd), out=aux[day])
+            # Regime jumps: abrupt, persistent level changes at random instants.
+            for _ in range(rng.poisson(p.jump_rate[t])):
+                at = int(rng.integers(0, spd))
+                jumps.append((day, at, rng.normal(0.0, p.jump_sd[t])))
+            if t != DayType.CLEAR:
+                # Breaks and showers modulate overcast days too, at half rate.
+                rate_scale = 1.0 if t == DayType.PARTLY else 0.5
+                spans += self._draw_transients(day, spd, rng, rate_scale)
 
-        if day_type == DayType.PARTLY:
-            k *= self._transient_mask(samples_per_day, rng, rate_scale=1.0)
-        elif day_type == DayType.OVERCAST:
-            # Breaks and showers modulate overcast days too, at half rate.
-            k *= self._transient_mask(samples_per_day, rng, rate_scale=0.5)
+        # 2. Recur, one time step across all days at a time.
+        base = np.asarray(p.base_index, dtype=float)[types]
+        beta = np.asarray(step_beta)[types]
+        step = np.empty(n_days)
+        prev = k[:, 0]
+        for i in range(1, spd):
+            cur = k[:, i]
+            np.subtract(base, prev, out=step)
+            np.multiply(beta, step, out=step)
+            np.add(prev, step, out=step)
+            np.add(step, cur, out=cur)
+            prev = cur
 
-        return np.clip(k, p.k_min, p.k_max)
+        # 3. Shape.
+        # Rows of days that do not drift were never written in aux.
+        drifts = (np.asarray(p.day_drift) > 0)[types]
+        np.add(k, aux, out=k, where=drifts[:, None])
+        for day, at, change in jumps:
+            k[day, at:] += change
+        mask = aux
+        mask.fill(1.0)
+        for day, start, end, level in spans:
+            segment = mask[day, start:end]
+            np.minimum(segment, level, out=segment)
+        k *= mask  # exact on unmasked days: x * 1.0 == x
+        return np.clip(k, p.k_min, p.k_max, out=k)
 
-    def _transient_mask(
-        self, samples_per_day: int, rng: np.random.Generator, rate_scale: float = 1.0
-    ) -> np.ndarray:
-        """Multiplicative mask of passing-cloud transients."""
+    def _draw_transients(
+        self, day: int, samples_per_day: int, rng: np.random.Generator, rate_scale: float
+    ) -> list:
+        """Day ``day``'s passing-cloud transients as ``(day, start, end, level)`` spans.
+
+        The day's multiplicative mask is 1 outside every span and the
+        lowest covering ``level`` inside them.
+        """
         p = self.params
-        mask = np.ones(samples_per_day, dtype=float)
         minutes_per_sample = 24.0 * 60.0 / samples_per_day
-        expected = p.transient_rate * 24.0 * rate_scale
-        n_transients = rng.poisson(expected)
+        n_transients = rng.poisson(p.transient_rate * 24.0 * rate_scale)
         if n_transients == 0:
-            return mask
-        starts = rng.integers(0, samples_per_day, size=n_transients)
-        for start in starts:
+            return []
+        spans = []
+        for start in rng.integers(0, samples_per_day, size=n_transients).tolist():
             duration_min = rng.exponential(p.transient_minutes)
             length = max(1, int(round(duration_min / minutes_per_sample)))
-            depth = np.clip(rng.normal(p.transient_depth, 0.15), 0.1, 0.95)
-            end = min(samples_per_day, start + length)
-            mask[start:end] = np.minimum(mask[start:end], 1.0 - depth)
-        return mask
+            depth = min(max(rng.normal(p.transient_depth, 0.15), 0.1), 0.95)
+            spans.append((day, start, min(samples_per_day, start + length), 1.0 - depth))
+        return spans

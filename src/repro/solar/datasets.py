@@ -3,9 +3,10 @@
 ``build_dataset("PFCI")`` returns the one-year synthetic trace standing
 in for the corresponding NREL MIDC download (see Table I of the paper
 and the substitution table in DESIGN.md).  Traces are memoised per
-``(site, n_days, seed)`` because generating a 1-minute year takes a
-noticeable fraction of a second and the experiment suite requests the
-same trace many times.
+``(site, n_days, seed)`` because generating a 1-minute year still takes
+about a tenth of a second (mostly scalar transient draws and per-day
+clear-sky envelopes) and the experiment suite requests the same trace
+many times.
 
 Measured sites registered through
 :func:`repro.solar.ingest.sites.register_measured_site` resolve through

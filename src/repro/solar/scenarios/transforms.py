@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.solar.clouds import CloudModelParams, DayType, DayTypeModel, IntradayCloudModel
+from repro.solar.clouds import CloudModelParams, DayTypeModel, IntradayCloudModel
 
 __all__ = [
     "TransformContext",
@@ -411,17 +411,15 @@ class CloudRegimeShift(Transform):
             return values.copy()
         shifted_days = ctx.n_days - self.onset_day
         day_types = self.day_type_model.sample_days(shifted_days, ctx.rng)
-        cloud_model = IntradayCloudModel(self.cloud_params)
+        index = IntradayCloudModel(self.cloud_params).sample_days(
+            day_types, ctx.samples_per_day, ctx.rng
+        )
+        # The sampled series is a clear-sky index in [k_min, k_max]; as
+        # a *relative* attenuation it must not amplify, so cap it at 1
+        # (cloud-edge brightening does not survive a regime this model
+        # describes).
         shaped = values.reshape(ctx.n_days, ctx.samples_per_day).copy()
-        for i in range(shifted_days):
-            index = cloud_model.sample_day(
-                DayType(day_types[i]), ctx.samples_per_day, ctx.rng
-            )
-            # The sampled series is a clear-sky index in [k_min, k_max];
-            # as a *relative* attenuation it must not amplify, so cap it
-            # at 1 (cloud-edge brightening does not survive a regime
-            # this model describes).
-            shaped[self.onset_day + i] *= np.minimum(index, 1.0)
+        shaped[self.onset_day:] *= np.minimum(index, 1.0, out=index)
         return shaped
 
 

@@ -65,18 +65,13 @@ def generate_trace(
         raise ValueError("n_days must be positive")
     rng = np.random.default_rng(site.seed if seed is None else seed)
     day_types = site.day_type_model.sample_days(n_days, rng)
-    cloud_model = IntradayCloudModel(site.cloud_params)
-
     spd = site.samples_per_day
-    values = np.empty(n_days * spd, dtype=float)
+    days = IntradayCloudModel(site.cloud_params).sample_days(day_types, spd, rng)
     for day in range(n_days):
-        day_of_year = day % 365 + 1
-        envelope = clearsky_profile(
-            site.latitude_deg, day_of_year, spd, model=clearsky_model
+        days[day] *= clearsky_profile(
+            site.latitude_deg, day % 365 + 1, spd, model=clearsky_model
         )
-        index = cloud_model.sample_day(DayType(day_types[day]), spd, rng)
-        values[day * spd : (day + 1) * spd] = envelope * index
 
     return SolarTrace(
-        values=values, resolution_minutes=site.resolution_minutes, name=site.name
+        values=days.reshape(-1), resolution_minutes=site.resolution_minutes, name=site.name
     )

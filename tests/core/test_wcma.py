@@ -1,5 +1,7 @@
 """Tests for the WCMA predictor: parameters, online form, batch engine."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +244,79 @@ class TestBatchEngine:
         view = SlotView.from_trace(hsu_trace, 48)
         with pytest.raises(ValueError):
             WCMABatch(view, eta_floor_fraction=-0.1)
+
+
+class TestBatchSharedAcrossThreads:
+    """One memoised batch serves concurrent thread-backend units.
+
+    Each test parks thread A inside a kernel call, just after it has
+    picked up the batch's shared state, runs a second call to
+    completion on the main thread, then lets A finish.  Both results
+    must equal the same calls on a private batch.
+    """
+
+    @staticmethod
+    def _park_thread_a(batch, monkeypatch, when):
+        parked, release = threading.Event(), threading.Event()
+        eta_flat = batch.eta_flat
+
+        def parking_eta_flat(days):
+            if threading.current_thread().name == "A" and when(days):
+                parked.set()
+                assert release.wait(10)
+            return eta_flat(days)
+
+        monkeypatch.setattr(batch, "eta_flat", parking_eta_flat)
+        return parked, release
+
+    @staticmethod
+    def _run_a(call):
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.setdefault("a", call()), name="A"
+        )
+        thread.start()
+        return thread, results
+
+    def test_concurrent_stacks_use_separate_workspaces(self, hsu_trace, monkeypatch):
+        idx = np.arange(48 * 12, 48 * 30 - 1)
+        ks = (1, 2, 3)
+        private = WCMABatch.from_trace(hsu_trace, 48)
+        expect_a = private.conditioned_stack((5, 6), ks, idx)
+        expect_b = private.conditioned_stack((9, 10), ks, idx)
+
+        batch = WCMABatch.from_trace(hsu_trace, 48)
+        # A parks after gathering D=5 into the workspace, before D=6.
+        parked, release = self._park_thread_a(batch, monkeypatch, lambda d: d == 6)
+        thread, results = self._run_a(
+            lambda: batch.conditioned_stack((5, 6), ks, idx)
+        )
+        assert parked.wait(10)
+        got_b = batch.conditioned_stack((9, 10), ks, idx)  # same workspace shape
+        release.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        np.testing.assert_array_equal(results["a"], expect_a)
+        np.testing.assert_array_equal(got_b, expect_b)
+
+    def test_concurrent_phi_advances_do_not_double_count(self, hsu_trace, monkeypatch):
+        private = WCMABatch.from_trace(hsu_trace, 48)
+        expect = {k: private.phi_flat(5, k).copy() for k in (1, 2, 3, 4)}
+
+        batch = WCMABatch.from_trace(hsu_trace, 48)
+        batch.phi_flat(5, 1)  # running sums exist at K = 1
+        # A parks after reading the K = 1 sums, before advancing them.
+        parked, release = self._park_thread_a(batch, monkeypatch, lambda d: True)
+        thread, results = self._run_a(lambda: batch.phi_flat(5, 4))
+        assert parked.wait(10)
+        got_b = batch.phi_flat(5, 3)  # advances the same D to K = 3
+        release.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        np.testing.assert_array_equal(results["a"], expect[4])
+        np.testing.assert_array_equal(got_b, expect[3])
+        for k in (2, 3):
+            np.testing.assert_array_equal(batch.phi_flat(5, k), expect[k])
 
 
 class TestEtaFloorDefault:

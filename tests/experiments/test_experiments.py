@@ -70,6 +70,51 @@ class TestCommon:
         finally:
             clear_batch_cache()
 
+    def test_batch_memo_shared_by_threads_under_stress(self):
+        """Six threads (more than the cores of a small box) cycle
+        through more keys than the batch LRU holds and grid-search the
+        shared batches with a short switch interval, as thread-backend
+        units do; every search must equal its single-threaded result."""
+        import sys
+        import threading
+
+        import numpy as np
+
+        from repro.core.optimizer import grid_search
+        from repro.experiments.common import clear_batch_cache
+
+        n_values = (48, 36, 24, 18, 16, 12, 8, 6, 4, 3)
+        grid = dict(alphas=(0.3, 0.7), days=(2, 3, 4), ks=(1, 2, 3))
+        clear_batch_cache()
+        trace = trace_for("PFCI", 30)
+        expect = {n: grid_search(trace, n, **grid).errors for n in n_values}
+        mismatches, raised = [], []
+
+        def worker(offset):
+            try:
+                for i in range(2 * len(n_values)):
+                    n = n_values[(offset + i) % len(n_values)]
+                    batch = batch_for("PFCI", 30, n)
+                    got = grid_search(batch.view.trace, n, batch=batch, **grid)
+                    if not np.array_equal(got.errors, expect[n], equal_nan=True):
+                        mismatches.append(n)
+            except Exception as exc:  # surfaced by the assertion below
+                raised.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_batch_cache()
+        assert raised == [] and mismatches == []
+
     def test_trace_memo_shared_across_n(self):
         """One native trace build serves every sampling rate: the batch
         engines for different N of one (site, n_days) must wrap the

@@ -127,15 +127,19 @@ class TestBatchVsPerNode:
             _assert_params_equal(expected, unstack_params(batch, b))
 
     def test_gbm_streaming_strategy_bitwise(self, rng, monkeypatch):
-        """Both mask-tensor strategies (full-batch and per-node
-        F-stacked) produce identical bits, so the budget switch is a
+        """Every split-mask chunking -- all pairs at once, one
+        (node, feature) pair at a time, and chunks that split a node's
+        features -- produces identical bits, so the chunk budget is a
         pure performance knob."""
         X, y = _window(rng, 72, 6)
         seeded = lambda: np.random.default_rng([0, 0])  # noqa: E731
         full = fit_gbm_batch(X, y, FAST, seeded())
-        monkeypatch.setattr(M, "GBM_FULL_BATCH_BUDGET", 0)
-        streamed = fit_gbm_batch(X, y, FAST, seeded())
-        _assert_params_equal(full, streamed)
+        n_sub = 58  # FAST subsamples 72 rows at 0.8
+        assert X.shape[1] * X.shape[2] * n_sub * FAST.gbm_thresholds <= M.GBM_MASK_CHUNK
+        for budget in (0, 7 * n_sub * FAST.gbm_thresholds):
+            monkeypatch.setattr(M, "GBM_MASK_CHUNK", budget)
+            streamed = fit_gbm_batch(X, y, FAST, seeded())
+            _assert_params_equal(full, streamed)
 
     def test_mixed_node_deactivation(self, rng):
         """Nodes stop splitting independently: a degenerate column next

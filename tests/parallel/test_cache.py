@@ -255,6 +255,36 @@ class TestConcurrentDeleteTolerance:
         monkeypatch.undo()
         assert not path.exists()
 
+    def test_shard_removed_between_listing_and_scan(self, tmp_path, monkeypatch):
+        """A shard a rival clear() removes while it is being scanned is skipped.
+
+        pathlib's glob checks that the directory exists, then scans it;
+        when a rival removes the shard in between, the scan raises
+        FileNotFoundError (Python 3.11).  The patched glob plays the
+        rival at exactly that point, on one shard.
+        """
+        from pathlib import Path
+
+        cache, keys = self.make_cache(tmp_path, entries=20)
+        victim = cache._path(keys[0]).parent
+        in_victim = len(list(victim.glob("*.pkl")))
+        original_glob = Path.glob
+
+        def glob_losing_the_race(self, pattern):
+            if self != victim:
+                return original_glob(self, pattern)
+            for entry in list(original_glob(self, pattern)):
+                entry.unlink()
+            self.rmdir()
+            raise FileNotFoundError(2, "No such file or directory", str(self))
+
+        monkeypatch.setattr(Path, "glob", glob_losing_the_race)
+        assert cache.info()["entries"] == 20 - in_victim
+        cache.put(keys[0], "value-0")  # the shard is back for clear()
+        assert cache.clear() == 20 - in_victim
+        monkeypatch.undo()
+        assert cache.info()["entries"] == 0
+
     def test_info_racing_unlink(self, tmp_path, monkeypatch):
         """Entries unlinked between listing and stat are skipped."""
         cache, keys = self.make_cache(tmp_path)
