@@ -6,7 +6,8 @@ under ``REPRO_BENCH_RECORD=1`` (uploaded as a CI artifact beside
 
 * **Batched refit kernels** -- ``fit_model_batch`` (the stacked ridge
   solve and cross-node GBM stump search) vs the frozen per-node scalar
-  loop from :mod:`repro.learn.reference`, over a grid of fleet shapes.
+  loop from the ``tests.oracles.learn`` oracle, over a grid of fleet
+  shapes.
   The gate applies at the early-window fleet refit shape (``B=64``
   nodes, ``n=96`` rows -- two 48-slot days): the GBM kernel and the
   combined ridge+GBM refit must both clear
@@ -32,7 +33,7 @@ from conftest import record
 from repro.experiments import robustness
 from repro.learn.features import N_FEATURES
 from repro.learn.models import TrainingConfig, fit_model_batch, unstack_params
-from repro.learn.reference import fit_model_reference
+from tests.oracles.learn import fit_model_reference
 
 IS_CI = bool(os.environ.get("CI"))
 #: The ISSUE gate: >= 5x batched-vs-loop refit at the fleet shape.
@@ -67,9 +68,9 @@ def _refit_window(B, n, seed=12345):
 def _time_refit(kind, X, y, config, repeats=3):
     """Best-of-``repeats`` seconds for batched and per-node-loop refits.
 
-    The loop reseeds per node from ``(seed, fit_count)`` exactly like
-    the kernel's ``engine="loop"`` path, which is what makes the two
-    bitwise-comparable in the first place.
+    The loop reseeds per node from ``(seed, fit_count)``, exactly what
+    a dedicated single-node kernel would draw, which is what makes the
+    two bitwise-comparable in the first place.
     """
     B = X.shape[1]
     batched_s = np.inf

@@ -8,7 +8,7 @@ perf trajectory of the sweep stack is tracked over time:
 * **Throughput** -- cold exhaustive grid searches (paper grid) across
   the paper's sampling rates on one site, in grid-points/sec.
 * **Fused vs loop, paper grid** -- the v2 engine against the frozen
-  pre-v2 loop (:mod:`repro.core.sweep_reference`) on the paper's own
+  pre-v2 loop (the ``tests.oracles.sweep`` oracle) on the paper's own
   sweep configuration.  Both engines here are numpy-vectorised over
   alpha, so the honest gap is the kernel restructuring alone (~3x on
   this shape).
@@ -41,6 +41,7 @@ from repro.experiments.common import clear_batch_cache
 from repro.experiments.runner import render_report, run_all
 from repro.solar.datasets import build_dataset
 from repro.solar.datasets import clear_cache as clear_trace_cache
+from tests.oracles.sweep import reference_grid_search
 
 SITE = "HSU"
 PAPER_N_VALUES = (288, 96, 72, 48, 24)
@@ -117,7 +118,7 @@ def test_bench_sweep_fused_vs_loop_paper_grid(benchmark, full_days):
         fused = grid_search(trace, n)
         t_fused = time.perf_counter() - t0
         t0 = time.perf_counter()
-        loop = grid_search(trace, n, engine="loop")
+        loop = reference_grid_search(trace, n)
         t_loop = time.perf_counter() - t0
         np.testing.assert_allclose(
             fused.errors, loop.errors, atol=1e-12, rtol=0.0, equal_nan=True
@@ -165,7 +166,7 @@ def test_bench_sweep_fused_vs_loop_scale(benchmark):
     fused_seconds = benchmark.stats["mean"]
 
     t0 = time.perf_counter()
-    loop = grid_search(trace, SCALE_N, engine="loop", **SCALE_GRID)
+    loop = reference_grid_search(trace, SCALE_N, **SCALE_GRID)
     loop_seconds = time.perf_counter() - t0
 
     np.testing.assert_allclose(

@@ -25,7 +25,6 @@ __all__ = [
     "OnlinePredictor",
     "VectorPredictor",
     "ScalarFace",
-    "DayHistory",
     "FleetDayHistory",
 ]
 
@@ -116,13 +115,12 @@ class VectorPredictor(abc.ABC):
         for t in range(total_boundaries):
             predictions = kernel.observe(samples[t])   # (B,) -> (B,)
 
-    Elementwise, a vector kernel must reproduce its scalar counterpart:
-    node ``b`` of ``observe(values)[b]`` equals what a dedicated
-    :class:`OnlinePredictor` fed ``values[b]`` slot by slot would
-    return.  Where the scalar predictor is the kernel's
-    :class:`ScalarFace` (WCMA, the learned tier) this holds bitwise by
-    construction; the remaining scalar twins are held to 1e-9 by
-    ``tests/management/test_fleet_parity.py``.
+    Columns are independent: node ``b`` of ``observe(values)[b]``
+    depends only on ``values[b]``'s history, never on ``B`` or on the
+    other nodes, bit for bit.  Every kernel-backed scalar predictor is
+    the kernel's :class:`ScalarFace`, so it equals any column of a
+    ``B``-node kernel exactly (``tests/management/test_fleet_parity.py``
+    pins this with zero tolerance).
     """
 
     #: Slots per day this predictor was configured for.
@@ -176,8 +174,14 @@ class ScalarFace(OnlinePredictor):
     A predictor whose arithmetic lives in a lock-step kernel subclasses
     this and hands its ``batch_size=1`` kernel to ``__init__``; every
     observation then runs the kernel's code, so the scalar and vector
-    forms cannot drift apart.  Checkpoints default to the kernel's own
-    ``state_dict`` layout.
+    forms cannot drift apart.  WCMA, EWMA, persistence, previous-day,
+    moving-average and the learned tier are all faces.
+
+    Checkpointing is opt-in per face: a face that can resume defines
+    ``state_dict``/``load_state_dict`` itself (WCMA and EWMA keep their
+    single-node layouts, the learned face delegates to its kernel).
+    The others inherit :class:`OnlinePredictor`'s
+    ``NotImplementedError``, which is what the serve layer checks.
     """
 
     def __init__(self, kernel: VectorPredictor):
@@ -192,12 +196,6 @@ class ScalarFace(OnlinePredictor):
         self._buf[0] = value
         return float(self._kernel.observe(self._buf)[0])
 
-    def state_dict(self) -> dict:
-        return self._kernel.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        self._kernel.load_state_dict(state)
-
 
 def as_batch(values, batch_size: int) -> np.ndarray:
     """Validate and coerce one slot's fleet samples to a ``(B,)`` array."""
@@ -211,132 +209,21 @@ def as_batch(values, batch_size: int) -> np.ndarray:
     return values
 
 
-class DayHistory:
+class FleetDayHistory:
     """Ring buffer of the last ``depth`` completed days of slot samples.
 
     Used by predictors that condition on "the same slot on previous
-    days" (WCMA's ``E_{D x N}`` matrix, EWMA's per-slot smoothing).
+    days" (WCMA's ``E_{D x N}`` matrix, the moving averages, the learned
+    tier's day-history features), for ``B`` nodes at once.  The buffer
+    distinguishes *completed* days (full rows) from the current,
+    partially observed day; ``push_slot`` appends to the current day and
+    rolls it into history when the row fills up.
 
-    The buffer distinguishes *completed* days (full rows) from the
-    current, partially observed day.  ``push_slot`` appends to the
-    current day and automatically rolls it into history when the row
-    fills up.
-    """
-
-    def __init__(self, n_slots: int, depth: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if depth <= 0:
-            raise ValueError("depth must be positive")
-        self.n_slots = n_slots
-        self.depth = depth
-        self._rows = np.zeros((depth, n_slots), dtype=float)
-        self._n_complete = 0
-        self._write_row = 0
-        self._current = np.zeros(n_slots, dtype=float)
-        self._slot = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def n_complete_days(self) -> int:
-        """Number of fully observed days available (capped at ``depth``)."""
-        return min(self._n_complete, self.depth)
-
-    @property
-    def total_days_completed(self) -> int:
-        """Days completed since reset (uncapped; grows forever)."""
-        return self._n_complete
-
-    @property
-    def current_slot(self) -> int:
-        """Index of the next slot to be written on the current day."""
-        return self._slot
-
-    def push_slot(self, value: float) -> None:
-        """Record the start-of-slot sample for the current slot."""
-        self._current[self._slot] = value
-        self._slot += 1
-        if self._slot == self.n_slots:
-            self._rows[self._write_row] = self._current
-            self._write_row = (self._write_row + 1) % self.depth
-            self._n_complete += 1
-            self._slot = 0
-
-    def slot_mean(self, slot: int, depth: Optional[int] = None) -> float:
-        """Mean of ``slot``'s samples over the last ``depth`` complete days.
-
-        ``μ_D(slot)`` in the paper (Eq. 2).  Returns ``nan`` when no
-        complete day is available yet.
-        """
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return float("nan")
-        rows = self._recent_rows(use)
-        return float(rows[:, slot % self.n_slots].mean())
-
-    def slot_column(self, slot: int, depth: Optional[int] = None) -> np.ndarray:
-        """Samples of ``slot`` over the last ``depth`` complete days (oldest first)."""
-        use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
-        if use == 0:
-            return np.empty(0, dtype=float)
-        return self._recent_rows(use)[:, slot % self.n_slots].copy()
-
-    def _recent_rows(self, count: int) -> np.ndarray:
-        """The last ``count`` completed day rows, oldest first."""
-        end = self._write_row
-        idx = (np.arange(end - count, end)) % self.depth
-        return self._rows[idx]
-
-    def reset(self) -> None:
-        """Clear all state."""
-        self._rows.fill(0.0)
-        self._current.fill(0.0)
-        self._n_complete = 0
-        self._write_row = 0
-        self._slot = 0
-
-    def state_dict(self) -> dict:
-        """Snapshot of the ring buffer (value copies, not views)."""
-        return {
-            "n_slots": self.n_slots,
-            "depth": self.depth,
-            "rows": self._rows.copy(),
-            "n_complete": self._n_complete,
-            "write_row": self._write_row,
-            "current": self._current.copy(),
-            "slot": self._slot,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (geometry must match)."""
-        if int(state["n_slots"]) != self.n_slots or int(state["depth"]) != self.depth:
-            raise ValueError(
-                f"history snapshot is {state['depth']}x{state['n_slots']}; "
-                f"this history is {self.depth}x{self.n_slots}"
-            )
-        rows = np.asarray(state["rows"], dtype=float)
-        current = np.asarray(state["current"], dtype=float)
-        if rows.shape != self._rows.shape or current.shape != self._current.shape:
-            raise ValueError(
-                f"history snapshot arrays have shapes {rows.shape}/"
-                f"{current.shape}; expected {self._rows.shape}/"
-                f"{self._current.shape}"
-            )
-        self._rows[...] = rows
-        self._current[...] = current
-        self._n_complete = int(state["n_complete"])
-        self._write_row = int(state["write_row"])
-        self._slot = int(state["slot"])
-
-
-class FleetDayHistory:
-    """Vectorized :class:`DayHistory`: one ring buffer for ``B`` nodes.
-
-    Because a fleet steps in lock-step, the day/slot counters are shared
-    scalars; only the sample values fan out over the batch axis.  The
-    buffer is therefore ``(depth, n_slots, B)`` and every accessor that
-    returns a per-slot scalar in :class:`DayHistory` returns a ``(B,)``
-    array here.
+    Because the nodes step in lock-step, the day/slot counters are
+    shared scalars; only the sample values fan out over the batch axis.
+    The buffer is therefore ``(depth, n_slots, B)`` and the per-slot
+    accessors return ``(B,)`` arrays.  Single-node callers hold a
+    ``B == 1`` buffer and read column 0.
     """
 
     def __init__(self, n_slots: int, depth: int, batch_size: int):
@@ -384,19 +271,22 @@ class FleetDayHistory:
     def slot_mean(self, slot: int, depth: Optional[int] = None) -> np.ndarray:
         """Per-node mean of ``slot`` over the last ``depth`` complete days.
 
-        ``(B,)``; NaN when no complete day is available yet.
+        ``μ_D(slot)`` in the paper (Eq. 2): ``(B,)``; NaN when no
+        complete day is available yet.  The days are summed oldest first
+        by a sequential accumulate, so a node's mean never depends on
+        ``B`` (``mean`` would switch to pairwise summation for a lone
+        column at depth >= 8).
         """
         use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)
         if use == 0:
             return np.full(self.batch_size, np.nan)
-        rows = self._recent_rows(use)
-        return rows[:, slot % self.n_slots, :].mean(axis=0)
+        rows = self._recent_rows(use)[:, slot % self.n_slots, :]
+        return np.add.accumulate(rows, axis=0)[-1] / use
 
     def slot_history(self, slot: int, depth: Optional[int] = None) -> np.ndarray:
         """Samples of ``slot`` over the last ``depth`` complete days.
 
-        ``(use, B)``, oldest first (the fleet counterpart of
-        :meth:`DayHistory.slot_column`); empty when no complete day is
+        ``(use, B)``, oldest first; empty when no complete day is
         available yet.
         """
         use = self.n_complete_days if depth is None else min(depth, self.n_complete_days)

@@ -10,19 +10,18 @@ These are the naive strategies the related work measures against:
   ``alpha = 0`` and the conditioning factor forced to 1): the paper's
   *conditioned average term* without the conditioning, which isolates
   the contribution of ``Φ_K`` in the ablation benchmark.
+
+Each strategy is one lock-step kernel over ``B`` nodes
+(``PersistenceVector``, ``PreviousDayVector``, ``MovingAverageVector``);
+the single-node predictors are their ``B == 1`` faces
+(:class:`~repro.core.base.ScalarFace`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import (
-    DayHistory,
-    FleetDayHistory,
-    OnlinePredictor,
-    VectorPredictor,
-    as_batch,
-)
+from repro.core.base import FleetDayHistory, ScalarFace, VectorPredictor, as_batch
 
 __all__ = [
     "PersistencePredictor",
@@ -34,80 +33,8 @@ __all__ = [
 ]
 
 
-class PersistencePredictor(OnlinePredictor):
-    """Predicts that the next slot's power equals the current sample."""
-
-    def __init__(self, n_slots: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        self.n_slots = n_slots
-
-    def reset(self) -> None:
-        pass  # stateless
-
-    def observe(self, value: float) -> float:
-        if value < 0:
-            raise ValueError(f"power sample must be non-negative, got {value}")
-        return float(value)
-
-
-class PreviousDayPredictor(OnlinePredictor):
-    """Predicts the next slot from the same slot exactly one day ago."""
-
-    def __init__(self, n_slots: int):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        self.n_slots = n_slots
-        self._history = DayHistory(n_slots=n_slots, depth=1)
-
-    def reset(self) -> None:
-        self._history.reset()
-
-    def observe(self, value: float) -> float:
-        if value < 0:
-            raise ValueError(f"power sample must be non-negative, got {value}")
-        slot = self._history.current_slot
-        if self._history.n_complete_days > 0:
-            prediction = self._history.slot_mean(slot + 1, 1)
-        else:
-            prediction = value
-        self._history.push_slot(value)
-        return float(prediction)
-
-
-class MovingAveragePredictor(OnlinePredictor):
-    """Predicts the next slot as its unconditioned ``μ_D`` average.
-
-    Equivalent to WCMA with ``alpha = 0`` and ``Φ_K ≡ 1``; comparing it
-    with real WCMA isolates the benefit of the conditioning factor.
-    """
-
-    def __init__(self, n_slots: int, days: int = 10):
-        if n_slots <= 0:
-            raise ValueError("n_slots must be positive")
-        if days < 1:
-            raise ValueError("days must be >= 1")
-        self.n_slots = n_slots
-        self.days = days
-        self._history = DayHistory(n_slots=n_slots, depth=days)
-
-    def reset(self) -> None:
-        self._history.reset()
-
-    def observe(self, value: float) -> float:
-        if value < 0:
-            raise ValueError(f"power sample must be non-negative, got {value}")
-        slot = self._history.current_slot
-        if self._history.n_complete_days > 0:
-            prediction = self._history.slot_mean(slot + 1, self.days)
-        else:
-            prediction = value
-        self._history.push_slot(value)
-        return float(prediction)
-
-
 class PersistenceVector(VectorPredictor):
-    """Lock-step :class:`PersistencePredictor` over ``B`` nodes."""
+    """Predicts that each node's next slot equals its current sample."""
 
     def __init__(self, n_slots: int, batch_size: int):
         if n_slots <= 0:
@@ -125,7 +52,7 @@ class PersistenceVector(VectorPredictor):
 
 
 class PreviousDayVector(VectorPredictor):
-    """Lock-step :class:`PreviousDayPredictor` over ``B`` nodes."""
+    """Predicts each node's next slot from the same slot one day ago."""
 
     def __init__(self, n_slots: int, batch_size: int):
         if n_slots <= 0:
@@ -151,7 +78,11 @@ class PreviousDayVector(VectorPredictor):
 
 
 class MovingAverageVector(VectorPredictor):
-    """Lock-step :class:`MovingAveragePredictor` over ``B`` nodes."""
+    """Predicts each node's next slot as its unconditioned ``μ_D`` average.
+
+    Equivalent to WCMA with ``alpha = 0`` and ``Φ_K ≡ 1``; comparing it
+    with real WCMA isolates the benefit of the conditioning factor.
+    """
 
     def __init__(self, n_slots: int, batch_size: int, days: int = 10):
         if n_slots <= 0:
@@ -179,3 +110,25 @@ class MovingAverageVector(VectorPredictor):
             prediction = values.copy()
         self._history.push_slot(values)
         return prediction
+
+
+class PersistencePredictor(ScalarFace):
+    """The ``B == 1`` face of :class:`PersistenceVector`."""
+
+    def __init__(self, n_slots: int):
+        super().__init__(PersistenceVector(n_slots, 1))
+
+
+class PreviousDayPredictor(ScalarFace):
+    """The ``B == 1`` face of :class:`PreviousDayVector`."""
+
+    def __init__(self, n_slots: int):
+        super().__init__(PreviousDayVector(n_slots, 1))
+
+
+class MovingAveragePredictor(ScalarFace):
+    """The ``B == 1`` face of :class:`MovingAverageVector` (``days`` = D)."""
+
+    def __init__(self, n_slots: int, days: int = 10):
+        super().__init__(MovingAverageVector(n_slots, 1, days=days))
+        self.days = days

@@ -34,11 +34,10 @@ The sweep is a tensor pipeline with one cache level per parameter axis
 
 Memory of the fused cube is bounded by chunking the ``D`` axis
 (``d_chunk``; the default targets ~96 MB of temporaries).  The
-pre-change per-``(D, K)`` Python loop is preserved verbatim in
-:mod:`repro.core.sweep_reference` and stays reachable via
-``engine="loop"``; the parity suite pins the two engines to <= 1e-12
-on the full default grid and the sweep benchmark asserts the >= 5x
-speedup of the fused path.
+pre-change per-``(D, K)`` Python loop is preserved verbatim as a test
+oracle (``tests/oracles/sweep.py``); the parity suite pins the fused
+cube to it to <= 1e-12 on the full default grid and the sweep benchmark
+asserts the >= 5x speedup of the fused path.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.sweep_reference import ReferenceBatch, reference_error_cube
 from repro.core.wcma import WCMABatch, WCMAParams
 from repro.metrics.roi import DEFAULT_ROI_FRACTION, DEFAULT_WARMUP_DAYS, roi_mask
 from repro.solar.trace import SolarTrace
@@ -58,7 +56,6 @@ __all__ = [
     "DEFAULT_ALPHAS",
     "DEFAULT_DAYS",
     "DEFAULT_KS",
-    "ENGINES",
     "GridSearchResult",
     "SweepSpec",
     "grid_search",
@@ -72,10 +69,6 @@ DEFAULT_ALPHAS: Tuple[float, ...] = tuple(round(a * 0.1, 1) for a in range(11))
 DEFAULT_DAYS: Tuple[int, ...] = tuple(range(2, 21))
 #: Paper grid: 1 <= K <= 6.
 DEFAULT_KS: Tuple[int, ...] = tuple(range(1, 7))
-
-#: Sweep engines: "fused" is the v2 tensor pipeline, "loop" the frozen
-#: pre-v2 reference (:mod:`repro.core.sweep_reference`).
-ENGINES = ("fused", "loop")
 
 #: Temporary-memory target (bytes) used to pick the default ``d_chunk``.
 _CHUNK_BYTES = 96 * 1024 * 1024
@@ -105,9 +98,9 @@ class GridSearchResult:
     n_slots:
         Sampling rate ``N`` the sweep was run at.
     meta:
-        Sweep provenance: ``engine`` used and whether the trace was
-        flagged ``thin_history`` (``2*max(D) > n_days`` -- legal, but
-        the warm-up convention leaves little scored data).
+        Sweep provenance: whether the trace was flagged
+        ``thin_history`` (``2*max(D) > n_days`` -- legal, but the
+        warm-up convention leaves little scored data).
     """
 
     best: WCMAParams
@@ -293,7 +286,6 @@ def grid_search(
     roi_fraction: float = DEFAULT_ROI_FRACTION,
     warmup_days: int = DEFAULT_WARMUP_DAYS,
     batch: WCMABatch = None,
-    engine: str = "fused",
     d_chunk: int = None,
 ) -> GridSearchResult:
     """Sweep the (alpha, D, K) grid on ``trace`` at sampling rate ``N``.
@@ -313,9 +305,6 @@ def grid_search(
     batch:
         Optional pre-built :class:`WCMABatch` to reuse its caches across
         multiple sweeps of the same trace and ``N``.
-    engine:
-        ``"fused"`` (v2 tensor pipeline, the default) or ``"loop"`` (the
-        frozen pre-v2 reference loop; parity/benchmark baseline).
     d_chunk:
         ``D``-axis chunk size of the fused cube; default is sized from a
         ~96 MB temporary budget.
@@ -326,8 +315,6 @@ def grid_search(
     """
     if objective not in ("mape", "mape_prime"):
         raise ValueError(f"objective must be 'mape' or 'mape_prime', got {objective!r}")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if d_chunk is not None and d_chunk < 1:
         raise ValueError(f"d_chunk must be >= 1, got {d_chunk}")
     alphas = tuple(float(a) for a in alphas)
@@ -366,15 +353,9 @@ def grid_search(
     if idx.size == 0:
         raise ValueError("region of interest is empty; trace too short or dark")
 
-    if engine == "loop":
-        reference_batch = ReferenceBatch(batch.view, batch.eta_floor_fraction)
-        errors = reference_error_cube(
-            reference_batch, days, ks, alphas, reference, mask
-        )
-    else:
-        errors = _error_cube_fused(
-            batch, days, ks, alphas, reference, idx, d_chunk=d_chunk
-        )
+    errors = _error_cube_fused(
+        batch, days, ks, alphas, reference, idx, d_chunk=d_chunk
+    )
 
     flat_best = np.nanargmin(errors)
     i, j, a = np.unravel_index(flat_best, errors.shape)
@@ -388,7 +369,7 @@ def grid_search(
         days=days,
         ks=ks,
         n_slots=n_slots,
-        meta={"engine": engine, "thin_history": thin_history},
+        meta={"thin_history": thin_history},
     )
 
 
@@ -416,7 +397,6 @@ def sweep_many(
     ks: Sequence[int] = DEFAULT_KS,
     roi_fraction: float = DEFAULT_ROI_FRACTION,
     warmup_days: int = DEFAULT_WARMUP_DAYS,
-    engine: str = "fused",
     d_chunk: int = None,
 ) -> List[GridSearchResult]:
     """Run several grid searches against shared per-(trace, N) caches.
@@ -457,7 +437,6 @@ def sweep_many(
                 roi_fraction=roi_fraction,
                 warmup_days=warmup_days,
                 batch=batch,
-                engine=engine,
                 d_chunk=d_chunk,
             )
         )

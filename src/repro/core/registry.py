@@ -22,10 +22,13 @@ Each entry may additionally carry a *vector factory* producing the
 lock-step fleet kernel (:class:`~repro.core.base.VectorPredictor`) for
 the same name; :func:`supports_vector` reports availability and
 :func:`make_vector_predictor` constructs one per fleet group.  The five
-predictors above and the learned tier all ship vector kernels;
-``pro-energy``, ``ar``, ``linear-trend`` and the adaptive selectors are
-scalar-only (the fleet simulator falls back to one scalar instance per
-node for those).
+predictors above and the learned tier all ship vector kernels, and
+their scalar predictors are those kernels' ``B == 1`` faces
+(:class:`~repro.core.base.ScalarFace`), so a fleet column and a scalar
+run agree bit for bit.  ``pro-energy``, ``ar``, ``linear-trend`` and
+the adaptive selectors are scalar-only (the fleet simulator falls back
+to one scalar instance per node for those, and the robustness matrix
+scores them cell by cell).
 
 Third-party predictors can be added with :func:`register` (pass
 ``overwrite=True`` to replace an existing entry, e.g. when reloading in

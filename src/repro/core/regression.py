@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.base import DayHistory, OnlinePredictor
+from repro.core.base import FleetDayHistory, OnlinePredictor
 
 __all__ = ["ARPredictor", "SlotLinearTrendPredictor"]
 
@@ -65,7 +65,7 @@ class ARPredictor(OnlinePredictor):
         self.history_days = history_days
         self.fit_window = fit_window
         self.refit_every = refit_every
-        self._history = DayHistory(n_slots=n_slots, depth=history_days)
+        self._history = FleetDayHistory(n_slots, history_days, 1)
         self._recent = deque(maxlen=fit_window)
         self._lags = deque(maxlen=order)
         self._coefficients = None
@@ -124,7 +124,7 @@ class ARPredictor(OnlinePredictor):
             self._mu_row = None
             return
         rows = self._history._recent_rows(min(self.history_days, available))
-        self._mu_row = rows.mean(axis=0)
+        self._mu_row = rows[:, :, 0].mean(axis=0)
 
     def _fit(self) -> None:
         """Least-squares AR(p) fit over the sliding window."""
@@ -164,7 +164,7 @@ class SlotLinearTrendPredictor(OnlinePredictor):
             raise ValueError("window must be >= 2")
         self.n_slots = n_slots
         self.window = window
-        self._history = DayHistory(n_slots=n_slots, depth=window)
+        self._history = FleetDayHistory(n_slots, window, 1)
 
     def reset(self) -> None:
         self._history.reset()
@@ -178,7 +178,7 @@ class SlotLinearTrendPredictor(OnlinePredictor):
         if available < 2:
             prediction = value
         else:
-            column = self._history.slot_column(slot + 1, self.window)
+            column = self._history.slot_history(slot + 1, self.window)[:, 0]
             days = np.arange(column.size, dtype=float)
             slope, intercept = np.polyfit(days, column, 1)
             prediction = max(0.0, slope * column.size + intercept)

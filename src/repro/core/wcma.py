@@ -280,9 +280,11 @@ class WCMAPredictor(ScalarFace):
     def state_dict(self) -> dict:
         """Snapshot of the online state (resumes bitwise-exactly).
 
-        The history is laid out as a :class:`~repro.core.base.DayHistory`
-        snapshot and ``recent_eta`` lists the (at most K) ratios
-        observed so far, oldest first.  The kernel's per-day caches are
+        The history is the kernel's
+        :class:`~repro.core.base.FleetDayHistory` snapshot with the
+        batch axis dropped (``rows`` is ``(D, N)``, ``current`` is
+        ``(N,)``, no ``batch_size``) and ``recent_eta`` lists the (at
+        most K) ratios observed so far, oldest first.  The kernel's per-day caches are
         *not* serialised: loading marks them stale so the next
         :meth:`observe` recomputes them from the history matrix, which
         is deterministic -- the resumed predictor emits the same bits as
@@ -406,9 +408,9 @@ class WCMABatch:
 
     All flat arrays are aligned on the boundary index
     ``t = day * N + slot``; entries where history is incomplete are NaN.
-    The pre-v2 kernels are preserved in
-    :mod:`repro.core.sweep_reference` and pinned against these by the
-    parity suite.
+    The pre-v2 kernels are preserved as a test oracle
+    (``tests/oracles/sweep.py``) and pinned against these by the parity
+    suite.
 
     One batch may serve several threads at once (the thread backend
     runs experiment units that share a memoised batch): the memos only

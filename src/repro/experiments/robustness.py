@@ -24,11 +24,11 @@ Two harnesses:
   built for.  Reports duty/downtime/waste per cell.
 
 Parallel execution mirrors :mod:`repro.experiments.runner`: the unit of
-work is one (site, scenario) cell -- except for the learned predictors
-(:data:`STACKED_MATRIX_PREDICTORS`), whose cells run *column-stacked*
-as one B-node kernel slab per predictor -- units are independent by
-construction, workers own private trace caches, and both code paths
-run through the shared executor
+work is one (site, scenario) cell -- except for the kernel-backed
+predictors (:data:`STACKED_MATRIX_PREDICTORS`), whose cells run
+*column-stacked* as one B-column kernel slab per predictor -- units are
+independent by construction, workers own private trace caches, and both
+kinds of unit run through the shared executor
 (:func:`repro.parallel.executor.execute_units`), so the merged output
 is byte-identical at any ``jobs``/``backend`` (the degradation column
 is computed *after* the merge in every path).  Everything is seeded
@@ -38,10 +38,14 @@ With a :class:`~repro.parallel.cache.ResultCache`, each cell's rows are
 memoised under a digest of (site, scenario, n_days, n_slots,
 predictors, seed, tune_wcma, dataset identity, code salt) *before* the
 degradation fill -- an interrupted matrix resumes from its finished
-cells and only recomputes the missing ones.  Learned slabs get their
-own keys, which additionally fold in the full training config and the
-feature-schema version, so a hyper-parameter flip or feature
-redefinition re-runs the learned slice instead of serving it stale.
+cells and only recomputes the missing ones.  A stacked predictor is
+cached cell by cell too: only its missing cells form the slab, whose
+payload is stored under the key of exactly that cell set as soon as it
+completes and then split into one-cell entries, so a resumed matrix
+re-runs new cells, never finished slabs.  The learned predictors' keys
+additionally fold in the full training config and the feature-schema
+version, so a hyper-parameter flip or feature redefinition re-runs the
+learned slice instead of serving it stale.
 
 Measured sites (:mod:`repro.solar.ingest.sites`) flow through both
 harnesses by name like the synthetic six -- including their
@@ -117,15 +121,29 @@ DEFAULT_MATRIX_PREDICTORS = ("wcma", "ewma", "persistence")
 #: WCMA configuration, including the per-cell re-tuned one.
 LEARNED_MATRIX_PREDICTORS = ("wcma", "ewma", "ridge", "gbm", "adaptive")
 
-#: Learned predictors the matrix evaluates *column-stacked*: every
-#: (site, scenario) cell becomes one column of a single B-node
-#: :class:`~repro.learn.predictor.LearnedKernel` run, so the whole
-#: learned slice advances lock-step through one batched refit per fit
-#: day instead of ``n_cells`` scalar ones.  Column independence is
-#: bitwise (the kernel's vector parity guarantee), so stacked cells
-#: reproduce the per-cell path byte-for-byte.  The adaptive selectors
-#: stay per-cell: they are scalar expert blends, not batch kernels.
-STACKED_MATRIX_PREDICTORS = ("ridge", "gbm")
+#: Predictors the matrix evaluates *column-stacked*: every (site,
+#: scenario) cell becomes one column of a single B-column run of the
+#: predictor's vector kernel, so e.g. the learned slice advances
+#: lock-step through one batched refit per fit day instead of
+#: ``n_cells`` scalar ones, and no baseline pays its scalar face's
+#: per-observe overhead once per cell.  Columns are bitwise
+#: independent (:class:`~repro.core.base.VectorPredictor`) and the
+#: scalar predictors are the kernels' ``B == 1`` faces, so stacked cells
+#: reproduce the per-cell path byte-for-byte.  WCMA stays per-cell on
+#: the shared :class:`~repro.core.wcma.WCMABatch` (the sweep needs it
+#: anyway); the adaptive selectors and the other scalar-only
+#: predictors have no lock-step form across cells.
+STACKED_MATRIX_PREDICTORS = (
+    "ewma",
+    "persistence",
+    "previous-day",
+    "moving-average",
+    "ridge",
+    "gbm",
+)
+
+#: Stacked predictors whose kernels take a ``training=`` config.
+_TRAINED_PREDICTORS = ("ridge", "gbm")
 
 #: Row label of the re-tuned WCMA (full grid search per cell).
 TUNED_WCMA_LABEL = "wcma-tuned"
@@ -248,41 +266,42 @@ def _cell_key(
     )
 
 
-def _learned_slab_unit(
+def _slab_unit(
     predictor: str,
-    sites: Tuple[str, ...],
-    scenarios: Tuple[str, ...],
+    cells: Tuple[Tuple[str, str], ...],
     n_days: int,
     n_slots: int,
     seed: int,
     training: Optional[dict],
 ) -> dict:
-    """Score one learned predictor on *every* (site, scenario) cell at once.
+    """Score one kernel-backed predictor on many (site, scenario) cells.
 
-    Each cell's perturbed trace becomes one column of a ``B``-node
-    :class:`~repro.learn.predictor.LearnedKernel`, fed through exactly
-    the causal slot-mean protocol of
+    Each cell's perturbed trace becomes one column of a ``B``-column
+    vector kernel (:func:`~repro.core.registry.make_vector_predictor`),
+    fed through exactly the protocol of
     :func:`~repro.metrics.evaluate.evaluate_predictor` -- one
-    ``provide_slot_mean`` / ``observe`` pair per boundary for the whole
-    stack -- then each column is scored independently.  Kernel columns
-    are bitwise-independent, so the returned per-cell MAPEs equal the
-    per-cell scalar path's byte-for-byte while every refit runs once,
-    batched, instead of once per cell.
+    ``observe`` per boundary for the whole stack, preceded by a
+    ``provide_slot_mean`` for kernels that train on slot means -- then
+    each column is scored independently.  Kernel columns are
+    bitwise-independent, so the returned per-cell MAPEs equal the
+    per-cell scalar path's byte-for-byte while the kernel steps once per
+    boundary (and a learned kernel refits once, batched) instead of
+    once per cell.  ``training`` goes to the learned kernels only.
 
-    Returns ``{"mape": [...], "stage_seconds": {...}}`` with one MAPE
-    per (site-major, scenario-minor) cell and the kernel's cumulative
-    features/refit/predict stage timings.
+    Returns ``{"mape": [...]}`` with one MAPE per cell, in ``cells``
+    order, plus the kernel's cumulative features/refit/predict
+    ``"stage_seconds"`` when it reports them.
     """
     from repro.core.registry import make_vector_predictor
     from repro.solar.slots import SlotView
 
     columns = []
-    for site in sites:
-        base = trace_for(site, n_days)
-        for scenario_name in scenarios:
-            perturbed = make_scenario(scenario_name, seed=seed).apply(base)
-            view = SlotView.from_trace(perturbed, n_slots)
-            columns.append((view.flat_starts(), view.flat_means()))
+    for site, scenario_name in cells:
+        perturbed = make_scenario(scenario_name, seed=seed).apply(
+            trace_for(site, n_days)
+        )
+        view = SlotView.from_trace(perturbed, n_slots)
+        columns.append((view.flat_starts(), view.flat_means()))
     starts = np.stack([c[0] for c in columns], axis=1)  # (T, B)
     means = np.stack([c[1] for c in columns], axis=1)
 
@@ -310,52 +329,53 @@ def _learned_slab_unit(
             n_slots=n_slots,
         )
         mapes.append(float(run_.mape))
-    return {
-        "mape": mapes,
-        "stage_seconds": dict(getattr(kernel, "stage_seconds", {}) or {}),
-    }
+    output = {"mape": mapes}
+    stages = getattr(kernel, "stage_seconds", None)
+    if stages:
+        output["stage_seconds"] = dict(stages)
+    return output
 
 
 def _slab_key(
     cache,
     predictor: str,
-    sites: Tuple[str, ...],
-    scenarios: Tuple[str, ...],
+    cells: Sequence[Tuple[str, str]],
     n_days: int,
     n_slots: int,
     seed: int,
-    training: dict,
-    feature_schema: int,
+    training: Optional[dict],
     identities,
 ) -> str:
-    """Cache digest of one stacked learned-predictor slab.
+    """Cache digest of one stacked predictor's slab over ``cells``.
 
-    Unlike the plain cell key, the digest folds in the full
+    A one-cell key addresses that cell's own entry.  A learned
+    predictor (``training`` given) also folds in the full
     :class:`~repro.learn.models.TrainingConfig` and the feature-schema
     version: a hyper-parameter flip or a feature redefinition must miss
     the cache, never serve a stale learned slice.
     """
-    return cache.key(
-        {
-            "kind": "robustness-learned-slab",
-            "predictor": predictor,
-            "sites": list(sites),
-            "scenarios": list(scenarios),
-            "n_days": n_days,
-            "n_slots": n_slots,
-            "seed": seed,
-            "training": dict(training),
-            "feature_schema": int(feature_schema),
-            "token": [identities[site] for site in sites],
-        }
-    )
+    spec = {
+        "kind": "robustness-slab",
+        "predictor": predictor,
+        "cells": [list(cell) for cell in cells],
+        "n_days": n_days,
+        "n_slots": n_slots,
+        "seed": seed,
+        "token": [identities[site] for site, _ in cells],
+    }
+    if training is not None:
+        from repro.learn.features import FEATURE_SCHEMA_VERSION
+
+        spec["training"] = dict(training)
+        spec["feature_schema"] = int(FEATURE_SCHEMA_VERSION)
+    return cache.key(spec)
 
 
 def _robustness_unit(kind: str, args: tuple):
-    """Executor dispatch: plain cells and learned slabs share one pool."""
+    """Executor dispatch: plain cells and slabs share one pool."""
     if kind == "cell":
         return _matrix_unit(*args)
-    return _learned_slab_unit(*args)
+    return _slab_unit(*args)
 
 
 def _matrix_row(scenario: str, site: str, predictor: str, error: float) -> dict:
@@ -418,7 +438,9 @@ def run(
         matrix resumes from them.
     stats:
         Optional list; the call appends its
-        :class:`~repro.parallel.executor.ExecutionStats` record.
+        :class:`~repro.parallel.executor.ExecutionStats` record, in
+        which each stacked (predictor, cell) result served from the
+        cache counts as one unit and one hit.
     training:
         Optional :class:`~repro.learn.models.TrainingConfig` (or its
         dict form) for the learned predictors; ``None`` keeps the
@@ -435,12 +457,13 @@ def run(
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    # The learned predictors run column-stacked (one slab unit per
-    # predictor covering every cell); everything else stays per-cell.
+    # The kernel-backed predictors run column-stacked (one slab unit per
+    # predictor covering its uncached cells); everything else stays
+    # per-cell.
     stacked = tuple(p for p in predictor_list if p in STACKED_MATRIX_PREDICTORS)
     cell_predictors = tuple(p for p in predictor_list if p not in stacked)
     training_dict = None
-    if training is not None or stacked:
+    if training is not None or any(p in _TRAINED_PREDICTORS for p in stacked):
         from repro.learn.models import TrainingConfig
 
         if training is None:
@@ -460,17 +483,29 @@ def run(
                       seed, tune_wcma))
             for site, scenario in cells
         )
-    units.extend(
-        ("slab", (name, site_list, scenario_list, n_days, n_slots, seed,
-                  training_dict))
+    slab_training = {
+        name: training_dict if name in _TRAINED_PREDICTORS else None
         for name in stacked
-    )
+    }
 
+    # Stacked results are cached per (predictor, cell); the cells still
+    # missing run together as one slab unit per predictor.
+    stacked_mapes: Dict[str, Dict[Tuple[str, str], float]] = {
+        name: {} for name in stacked
+    }
     keys = None
+    cached_cells = 0
     if cache is not None:
-        from repro.parallel.cache import dataset_identity
+        from repro.parallel.cache import MISS, dataset_identity
 
         identities = {site: dataset_identity(site) for site in site_list}
+
+        def slab_key(name, slab_cells):
+            return _slab_key(
+                cache, name, slab_cells, n_days, n_slots, seed,
+                slab_training[name], identities,
+            )
+
         keys = []
         if run_cells:
             keys.extend(
@@ -480,16 +515,22 @@ def run(
                 )
                 for site, scenario in cells
             )
-        if stacked:
-            from repro.learn.features import FEATURE_SCHEMA_VERSION
-
-            keys.extend(
-                _slab_key(
-                    cache, name, site_list, scenario_list, n_days, n_slots,
-                    seed, training_dict, FEATURE_SCHEMA_VERSION, identities,
-                )
-                for name in stacked
+        for name in stacked:
+            for cell in cells:
+                value = cache.get(slab_key(name, (cell,)))
+                if value is not MISS:
+                    stacked_mapes[name][cell] = value["mape"][0]
+                    cached_cells += 1
+    slabs = []
+    for name in stacked:
+        missing = tuple(cell for cell in cells if cell not in stacked_mapes[name])
+        if missing:
+            slabs.append((name, missing))
+            units.append(
+                ("slab", (name, missing, n_days, n_slots, seed, slab_training[name]))
             )
+            if keys is not None:
+                keys.append(slab_key(name, missing))
 
     initializer = None
     initargs = ()
@@ -513,36 +554,40 @@ def run(
         keys=keys,
     )
 
+    n_cell_units = len(cells) if run_cells else 0
+    slab_outputs = outputs[n_cell_units:]
+    for (name, missing), output in zip(slabs, slab_outputs):
+        for cell, mape in zip(missing, output["mape"]):
+            stacked_mapes[name][cell] = mape
+            if cache is not None and len(missing) > 1:
+                cache.put(slab_key(name, (cell,)), {"mape": [mape]})
+
     # Re-interleave the slab columns into the original per-cell row
     # order (predictor_list order inside each cell, tuned WCMA last),
     # so the merged output is byte-identical to the all-per-cell path.
-    n_cell_units = len(cells) if run_cells else 0
-    slab_mapes = {
-        name: outputs[n_cell_units + i]["mape"]
-        for i, name in enumerate(stacked)
-    }
     rows = []
     for c, (site, scenario) in enumerate(cells):
         by_name: Dict[str, dict] = {}
         if run_cells:
             by_name = {row["predictor"]: row for row in outputs[c]}
         for name in predictor_list:
-            if name in slab_mapes:
-                rows.append(_matrix_row(scenario, site, name, slab_mapes[name][c]))
+            if name in stacked_mapes:
+                mape = stacked_mapes[name][site, scenario]
+                rows.append(_matrix_row(scenario, site, name, mape))
             else:
                 rows.append(by_name[name])
         if tune_wcma:
             rows.append(by_name[TUNED_WCMA_LABEL])
 
-    if stacked:
-        stage_totals: Dict[str, float] = {}
-        for i in range(len(stacked)):
-            for stage, seconds in (
-                outputs[n_cell_units + i].get("stage_seconds") or {}
-            ).items():
-                stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
-        if stage_totals:
-            exec_stats.stage_seconds = stage_totals
+    stage_totals: Dict[str, float] = {}
+    for output in slab_outputs:
+        for stage, seconds in output.get("stage_seconds", {}).items():
+            stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
+    if stage_totals:
+        exec_stats.stage_seconds = stage_totals
+    # Each stacked cell served from the cache counts as one cached unit.
+    exec_stats.n_units += cached_cells
+    exec_stats.cache_hits += cached_cells
     if stats is not None:
         stats.append(exec_stats)
 

@@ -28,7 +28,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.base import DayHistory, OnlinePredictor
+from repro.core.base import FleetDayHistory, OnlinePredictor
 from repro.core.wcma import ETA_FLOOR_FRACTION, WCMAParams
 
 __all__ = ["Q15", "Q13_ONE", "FixedPointWCMA"]
@@ -117,7 +117,7 @@ class FixedPointWCMA(OnlinePredictor):
             Q15.from_float(k / params.k) for k in range(1, params.k + 1)
         ]
         self._theta_sum_q = sum(self._theta_q)
-        self._history = DayHistory(n_slots=n_slots, depth=params.days)
+        self._history = FleetDayHistory(n_slots, params.days, 1)
         self._recent_eta_q13 = deque(maxlen=params.k)
         self._mu_codes: np.ndarray = None
         self._eta_floor_code = 0
@@ -184,7 +184,7 @@ class FixedPointWCMA(OnlinePredictor):
             self._mu_codes = None
             self._eta_floor_code = 0
             return
-        rows = self._history._recent_rows(min(self.params.days, available))
+        rows = self._history._recent_rows(min(self.params.days, available))[:, :, 0]
         # Integer mean, matching a 32-bit accumulator divided on the MCU.
         sums = rows.sum(axis=0).astype(np.int64)
         self._mu_codes = sums // rows.shape[0]

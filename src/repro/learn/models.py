@@ -28,8 +28,8 @@ normal equations through ``np.linalg.solve`` over ``(B, F, F)``, and a
 cross-node stump search that scores every (node, feature) pair's
 ``(n_sub, Q)`` split mask per round with stacked gufunc matmuls, a
 cache-sized chunk of pairs at a time.  Both are pinned
-*bitwise* against the frozen scalar loops in
-:mod:`repro.learn.reference` -- split selection is an argmax over
+*bitwise* against the frozen scalar loops kept as a test oracle
+(``tests/oracles/learn.py``) -- split selection is an argmax over
 gains, so "close" is not good enough; every stacked operation here is
 one whose per-slice reduction order provably matches the scalar code
 path (in particular: means are taken over contiguous rows, matmul core
@@ -185,8 +185,8 @@ def fit_gbm(
 
     This is the ``B == 1`` face of :func:`fit_gbm_batch`, so the split
     search runs one vectorized gain tensor per round instead of a
-    per-feature Python loop -- bitwise-identical to the frozen loop in
-    :func:`repro.learn.reference.fit_gbm_reference`.
+    per-feature Python loop -- bitwise-identical to the frozen loop
+    ``fit_gbm_reference`` in ``tests/oracles/learn.py``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

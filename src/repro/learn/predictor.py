@@ -59,13 +59,7 @@ from repro.learn.models import (
     score_stumps,
 )
 
-__all__ = ["REFIT_ENGINES", "LearnedKernel", "LearnedPredictor"]
-
-#: Refit dispatch: ``"batched"`` fits all ``B`` nodes through one
-#: stacked kernel call; ``"loop"`` is the frozen per-node reference
-#: (:mod:`repro.learn.reference`), kept on the real dispatch path so
-#: engine parity stays a one-flag experiment.
-REFIT_ENGINES = ("batched", "loop")
+__all__ = ["LearnedKernel", "LearnedPredictor"]
 
 
 def _coerce_features(features) -> FeatureConfig:
@@ -111,12 +105,6 @@ class LearnedKernel(VectorPredictor):
         provided; ``"sample"`` always trains on the next sample.
     fallback_alpha:
         Weight of persistence in the pre-fit fallback blend.
-    engine:
-        Refit dispatch (:data:`REFIT_ENGINES`): ``"batched"`` (default)
-        fits every node in one stacked kernel call, ``"loop"`` runs the
-        frozen per-node reference fits.  Bitwise-identical outputs --
-        a performance knob, not a model choice -- so it never enters
-        checkpoints or artifacts.
     """
 
     def __init__(
@@ -129,7 +117,6 @@ class LearnedKernel(VectorPredictor):
         artifact: Optional[Union[ModelArtifact, dict]] = None,
         feedback: str = "slot_mean",
         fallback_alpha: float = 0.5,
-        engine: str = "batched",
     ):
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
@@ -141,15 +128,10 @@ class LearnedKernel(VectorPredictor):
             )
         if not 0.0 <= fallback_alpha <= 1.0:
             raise ValueError(f"fallback_alpha must be in [0, 1], got {fallback_alpha}")
-        if engine not in REFIT_ENGINES:
-            raise ValueError(
-                f"unknown refit engine {engine!r}; known: {REFIT_ENGINES}"
-            )
         self.n_slots = n_slots
         self.batch_size = batch_size
         self.feedback = feedback
         self.fallback_alpha = float(fallback_alpha)
-        self.engine = engine
 
         if artifact is not None:
             if isinstance(artifact, dict):
@@ -383,8 +365,8 @@ class LearnedKernel(VectorPredictor):
         node reseeds its subsample generator from ``(seed, fit_index)``
         -- node-position-independent, so a ``B``-node kernel fits
         exactly what ``B`` separate scalar kernels would, and the
-        batched engine can share one generator (and one subsample
-        stream) across the whole stack.
+        stacked fit shares one generator (and one subsample stream)
+        across the whole stack.
         """
         count = min(self._t, self._cap - 1)
         if count <= 1:
@@ -392,20 +374,10 @@ class LearnedKernel(VectorPredictor):
         order = np.arange(self._t - count, self._t) % self._cap
         Xw = self._X[order]
         yw = self._y[order]
-        if self.engine == "loop":
-            from repro.learn.reference import fit_model_reference
-
-            for b in range(self.batch_size):
-                rng = np.random.default_rng([self.training.seed, self._fit_count])
-                params = fit_model_reference(
-                    self.model, Xw[:, b, :], yw[:, b], self.training, rng
-                )
-                self._store_params(b, params)
-        else:
-            rng = np.random.default_rng([self.training.seed, self._fit_count])
-            self._store_params(
-                slice(None), fit_model_batch(self.model, Xw, yw, self.training, rng)
-            )
+        rng = np.random.default_rng([self.training.seed, self._fit_count])
+        self._store_params(
+            slice(None), fit_model_batch(self.model, Xw, yw, self.training, rng)
+        )
         self._fitted = True
         self._fit_count += 1
         self._last_fit_day = completed_days
@@ -560,3 +532,10 @@ class LearnedPredictor(ScalarFace):
     def provide_slot_mean(self, mean_watts: float) -> None:
         """Report the just-finished slot's realized mean power."""
         self._kernel.provide_slot_mean(np.array([float(mean_watts)]))
+
+    def state_dict(self) -> dict:
+        """The kernel's own (``B == 1``) checkpoint."""
+        return self._kernel.state_dict()
+
+    def load_state_dict(self, state: dict) -> None:
+        self._kernel.load_state_dict(state)

@@ -68,7 +68,6 @@ def fit_artifact(
     site: Optional[str] = None,
     features: Optional[FeatureConfig] = None,
     training: Optional[TrainingConfig] = None,
-    engine: str = "batched",
 ) -> ModelArtifact:
     """Train ``model`` on ``trace`` and wrap it as a persistable artifact.
 
@@ -76,20 +75,10 @@ def fit_artifact(
     features before that are fallback-filled and would teach the model
     a warm-up regime it never serves under); the GBM subsample stream
     is seeded from ``(training.seed, 0)``, matching the online kernel's
-    first fit.
-
-    ``engine`` mirrors :data:`repro.learn.predictor.REFIT_ENGINES`:
-    ``"batched"`` (default) runs the stacked fit kernels at ``B == 1``,
-    ``"loop"`` the frozen scalar reference -- both produce byte-identical
-    artifacts (digest-pinned in the determinism suite), so the flag is
-    a cross-check, not a model choice, and never enters provenance.
+    first fit.  The fit is the stacked kernel at ``B == 1``.
     """
     features = features if features is not None else FeatureConfig()
     training = training if training is not None else TrainingConfig()
-    if engine not in ("batched", "loop"):
-        raise ValueError(
-            f"unknown fit engine {engine!r}; known: ('batched', 'loop')"
-        )
     X, y, starts = build_training_set(trace, n_slots, features)
     skip = training.min_train_days * n_slots
     if X.shape[0] - skip < 2 * n_slots:
@@ -99,16 +88,9 @@ def fit_artifact(
             "warm-up plus two trainable days)"
         )
     rng = np.random.default_rng([training.seed, 0])
-    if engine == "loop":
-        from repro.learn.reference import fit_model_reference
-
-        params = fit_model_reference(model, X[skip:], y[skip:], training, rng)
-    else:
-        params = unstack_params(
-            fit_model_batch(
-                model, X[skip:, None, :], y[skip:, None], training, rng
-            )
-        )
+    params = unstack_params(
+        fit_model_batch(model, X[skip:, None, :], y[skip:, None], training, rng)
+    )
 
     predictions = np.maximum(predict_model(params, X), 0.0)
     # In-sample provenance MAPE over exactly the trained rows: warm-up

@@ -52,9 +52,10 @@ operations per slot (20x+ faster at 256 nodes)::
     result.node_result(3)           # one node's full NodeRunResult
 
 Per-node outputs match ``B`` independent ``SensorNodeSimulation`` runs
-elementwise (parity-tested to 1e-9); ``SensorNodeSimulation`` itself is
-the ``B = 1`` front-end of the same engine.  ``examples/fleet_simulation.py``
-runs a 100-node heterogeneous fleet end to end.
+elementwise (parity-tested exactly for every vector-kernel predictor);
+``SensorNodeSimulation`` itself is the ``B = 1`` front-end of the same
+engine.  ``examples/fleet_simulation.py`` runs a 100-node heterogeneous
+fleet end to end.
 """
 
 from repro.management.harvester import PVHarvester

@@ -29,9 +29,9 @@ How the vectorization is organised:
   per-node fallback for custom subclasses.
 
 Because every stacked model is elementwise, a ``B``-node fleet run is
-numerically identical (to float rounding; parity-tested at 1e-9) to
-``B`` independent ``SensorNodeSimulation`` runs -- and 20x+ faster for
-a 256-node fleet (``benchmarks/test_bench_fleet.py``).
+bitwise identical (parity-tested exactly for every vector-kernel
+predictor) to ``B`` independent ``SensorNodeSimulation`` runs -- and
+20x+ faster for a 256-node fleet (``benchmarks/test_bench_fleet.py``).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ simulation calls with each slot's realized harvest power.
 
 from __future__ import annotations
 
-from repro.core.base import DayHistory
+from repro.core.base import FleetDayHistory
 from repro.management.consumer import DutyCycledLoad
 from repro.management.controller import Controller
 
@@ -67,7 +67,7 @@ class ProfilePlanningController(Controller):
         self.profile_days = profile_days
         self.target_soc = target_soc
         self.correction_gain = correction_gain
-        self._profile = DayHistory(n_slots=n_slots, depth=profile_days)
+        self._profile = FleetDayHistory(n_slots, profile_days, 1)
         self._bootstrap_average = None
 
     def reset(self) -> None:

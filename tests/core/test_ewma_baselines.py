@@ -1,14 +1,18 @@
 """Tests for the EWMA predictor and the simple baselines."""
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import (
     MovingAveragePredictor,
+    MovingAverageVector,
     PersistencePredictor,
     PreviousDayPredictor,
 )
 from repro.core.ewma import EWMAPredictor
 from repro.metrics.evaluate import evaluate_predictor
+from repro.solar.datasets import build_dataset
+from repro.solar.slots import SlotView
 
 
 class TestEWMA:
@@ -122,3 +126,20 @@ class TestMovingAverage:
             WCMAPredictor(48, WCMAParams(0.0, 5, 2)), repeating_day_trace, 48
         )
         assert ma.mape == pytest.approx(wcma.mape, abs=1e-9)
+
+    def test_columns_independent_of_batch_size(self):
+        """Column ``b`` of a 3-node kernel is the 1-node kernel fed that
+        node's samples, bit for bit, at a depth (D=10) where numpy's
+        ``mean`` would sum a lone column pairwise but wider batches in
+        order."""
+        starts = np.stack(
+            [
+                SlotView.from_trace(build_dataset(site, n_days=20), 48).flat_starts()
+                for site in ("HSU", "PFCI", "ORNL")
+            ],
+            axis=1,
+        )
+        stacked = MovingAverageVector(48, 3, days=10).run(starts)
+        for b in range(3):
+            alone = MovingAverageVector(48, 1, days=10).run(starts[:, b : b + 1])
+            np.testing.assert_array_equal(stacked[:, b], alone[:, 0], err_msg=str(b))

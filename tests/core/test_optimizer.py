@@ -11,6 +11,7 @@ from repro.core.optimizer import (
     mape_for_params,
 )
 from repro.core.wcma import WCMABatch, WCMAParams
+from tests.oracles.sweep import reference_grid_search
 
 
 SMALL_ALPHAS = (0.0, 0.3, 0.6, 0.9)
@@ -114,8 +115,6 @@ class TestGridSearch:
             grid_search(pfci_trace, 48, alphas=())
         with pytest.raises(ValueError, match="history depth"):
             grid_search(pfci_trace, 48, days=(60,))
-        with pytest.raises(ValueError, match="engine"):
-            grid_search(pfci_trace, 48, engine="vectorised")
         with pytest.raises(ValueError, match="d_chunk"):
             grid_search(pfci_trace, 48, d_chunk=0)
 
@@ -141,18 +140,16 @@ class TestGridSearch:
         assert result.meta["thin_history"] is True
 
     def test_comfortable_history_no_warning(self, result):
-        assert result.meta["thin_history"] is False
-        assert result.meta["engine"] == "fused"
+        assert result.meta == {"thin_history": False}
 
     def test_loop_engine_same_result(self, pfci_trace, result):
-        loop = grid_search(
+        """The frozen pre-v2 loop (the sweep oracle) finds the same cube."""
+        loop = reference_grid_search(
             pfci_trace,
             48,
             alphas=SMALL_ALPHAS,
             days=SMALL_DAYS,
             ks=SMALL_KS,
-            engine="loop",
         )
-        assert loop.meta["engine"] == "loop"
         assert loop.best == result.best
         np.testing.assert_allclose(loop.errors, result.errors, atol=1e-12, rtol=0.0)

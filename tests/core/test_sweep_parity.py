@@ -3,7 +3,7 @@
 Pins every kernel the fused engine rebuilt -- prefix-sum ``μ_D``,
 sliding-window ``Φ_K``, the gathered conditioned-term stack and the
 fused ``(D, K, alpha)`` error cube -- against the reference
-implementations preserved in :mod:`repro.core.sweep_reference`, to
+implementations preserved in the ``tests.oracles.sweep`` oracle, to
 1e-12 on the full default grid, across all six sites at N=48 and N=24,
 plus a property test that :func:`~repro.core.optimizer.sweep_many`
 matches independent :func:`~repro.core.optimizer.grid_search` calls.
@@ -19,11 +19,11 @@ from repro.core.optimizer import (
     grid_search,
     sweep_many,
 )
-from repro.core.sweep_reference import ReferenceBatch
 from repro.core.wcma import WCMABatch, mu_matrix
 from repro.metrics.roi import roi_indices
 from repro.solar.datasets import build_dataset
 from repro.solar.sites import SITE_ORDER
+from tests.oracles.sweep import ReferenceBatch, reference_grid_search
 
 DAYS = 45
 TOL = 1e-12
@@ -180,8 +180,8 @@ class TestErrorCubeParity:
         batch = WCMABatch.from_trace(trace, n_slots)
         for objective in ("mape", "mape_prime"):
             fused = grid_search(trace, n_slots, objective=objective, batch=batch)
-            loop = grid_search(
-                trace, n_slots, objective=objective, batch=batch, engine="loop"
+            loop = reference_grid_search(
+                trace, n_slots, objective=objective, batch=batch
             )
             np.testing.assert_allclose(
                 fused.errors,
@@ -199,8 +199,8 @@ class TestErrorCubeParity:
         trace = build_dataset("HSU", n_days=DAYS)
         alphas = (0.0, 0.05, 0.3, 0.31, 0.9, 1.0)
         fused = grid_search(trace, 24, alphas=alphas, days=(3, 8), ks=(1, 3))
-        loop = grid_search(
-            trace, 24, alphas=alphas, days=(3, 8), ks=(1, 3), engine="loop"
+        loop = reference_grid_search(
+            trace, 24, alphas=alphas, days=(3, 8), ks=(1, 3)
         )
         np.testing.assert_allclose(
             fused.errors, loop.errors, atol=TOL, rtol=0.0, equal_nan=True
@@ -210,8 +210,8 @@ class TestErrorCubeParity:
         trace = build_dataset("HSU", n_days=DAYS)
         alphas = (0.9, 0.1, 0.5)
         fused = grid_search(trace, 24, alphas=alphas, days=(4,), ks=(2,))
-        loop = grid_search(
-            trace, 24, alphas=alphas, days=(4,), ks=(2,), engine="loop"
+        loop = reference_grid_search(
+            trace, 24, alphas=alphas, days=(4,), ks=(2,)
         )
         assert fused.alphas == alphas
         np.testing.assert_allclose(
@@ -226,8 +226,8 @@ class TestErrorCubeParity:
         stays finite)."""
         trace = build_dataset("PFCI", n_days=DAYS)
         fused = grid_search(trace, 24, days=(2, 3), ks=(1, 2), warmup_days=2)
-        loop = grid_search(
-            trace, 24, days=(2, 3), ks=(1, 2), warmup_days=2, engine="loop"
+        loop = reference_grid_search(
+            trace, 24, days=(2, 3), ks=(1, 2), warmup_days=2
         )
         assert np.isnan(fused.errors).any()
         assert np.isfinite(fused.errors).any()

@@ -1,5 +1,7 @@
 """Tests for the robustness experiment matrix and fleet harness."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -272,9 +274,14 @@ class TestMatrixCacheResume:
         )
         stats = []
         first = run(cache=cache, stats=stats, **kwargs)
-        assert stats[0].cache_misses == 4  # 2 sites x (clean + dropout)
+        # 2 sites x (clean + dropout) wcma cells + the ewma and
+        # persistence slabs.
+        assert stats[0].cache_misses == 6 and stats[0].cache_hits == 0
         second = run(cache=cache, stats=stats, **kwargs)
-        assert stats[1].cache_hits == 4 and stats[1].cache_misses == 0
+        # The 4 wcma cells + 2 x 4 stacked cells, each cached on its own;
+        # no slab is left to run.
+        assert stats[1].cache_hits == 12 and stats[1].cache_misses == 0
+        assert stats[1].n_units == 12
         assert first.rows == second.rows
         assert first.render() == second.render()
 
@@ -289,8 +296,10 @@ class TestMatrixCacheResume:
         full = run(
             scenarios=("dropout", "jitter"), cache=cache, stats=stats, **common
         )
-        # clean + dropout cells (2 sites x 2) hit; jitter cells miss.
-        assert stats[0].cache_hits == 4 and stats[0].cache_misses == 2
+        # clean + dropout cells (2 sites x 2) hit, for wcma and for both
+        # stacked predictors; the jitter cells miss: 2 wcma cells and one
+        # slab per stacked predictor over its 2 jitter cells.
+        assert stats[0].cache_hits == 12 and stats[0].cache_misses == 4
         fresh = run(scenarios=("dropout", "jitter"), **common)
         assert full.rows == fresh.rows
         assert all(
@@ -299,7 +308,9 @@ class TestMatrixCacheResume:
 
     def test_cached_rows_predate_degradation_fill(self, tmp_path):
         """Cached cell rows must carry no baked-in dMAPE: the column is
-        computed after the merge, whatever subset the cells came from."""
+        computed after the merge, whatever subset the cells came from.
+        Stacked predictors cache nothing but MAPEs: each slab's payload
+        and the one-cell entries it is split into."""
         cache = self._cache(tmp_path)
         kwargs = dict(
             n_days=DAYS, sites=("PFCI",), scenarios=("dropout",), seed=7,
@@ -308,15 +319,23 @@ class TestMatrixCacheResume:
         run(cache=cache, **kwargs)
 
         entries = 0
+        stacked = collections.Counter()
         for sub in sorted((tmp_path / "cache").iterdir()):
             if sub.is_dir():
                 for path in sub.glob("*.pkl"):
                     import pickle
 
-                    rows = pickle.loads(path.read_bytes())
+                    payload = pickle.loads(path.read_bytes())
                     entries += 1
-                    assert all(r["dMAPE vs clean (pp)"] is None for r in rows)
-        assert entries == 2
+                    if isinstance(payload, dict):  # a stacked predictor
+                        assert set(payload) == {"mape"}
+                        assert all(isinstance(m, float) for m in payload["mape"])
+                        stacked[len(payload["mape"])] += 1
+                        continue
+                    assert all(r["dMAPE vs clean (pp)"] is None for r in payload)
+        # 2 wcma cells; for ewma and persistence, a 2-cell slab each and
+        # its two one-cell entries.
+        assert entries == 8 and stacked == {2: 2, 1: 4}
 
     def test_seed_and_tune_are_in_the_key(self, tmp_path):
         cache = self._cache(tmp_path)

@@ -1,12 +1,13 @@
-"""Column-stacked learned slabs inside the robustness matrix.
+"""Column-stacked kernel slabs inside the robustness matrix.
 
-The learned predictors (``ridge``/``gbm``) run as one B-column
-:class:`~repro.learn.predictor.LearnedKernel` slab covering every
-(site, scenario) cell.  These tests pin the load-bearing guarantees:
-the stacked path reproduces the per-cell scalar path *exactly* (the
-goldens depend on it), slab cache keys fold in the training config and
-feature schema so hyper-parameter flips can never serve stale cells,
-and the per-stage timings surface through ``ExecutionStats``.
+Every kernel-backed predictor but WCMA (the baselines and the learned
+``ridge``/``gbm``) runs as one B-column vector-kernel slab covering
+every (site, scenario) cell.  These tests pin the load-bearing
+guarantees: the stacked path reproduces the per-cell scalar path
+*exactly* (the goldens depend on it), learned slab cache keys fold in
+the training config and feature schema so hyper-parameter flips can
+never serve stale cells, and the learned kernels' per-stage timings
+surface through ``ExecutionStats``.
 """
 
 import dataclasses
@@ -26,6 +27,10 @@ SITES = ("PFCI", "HSU")
 SCENARIOS = ("dropout", "jitter")  # run() prepends "clean"
 SEED = 7
 N_SLOTS = 48
+#: Stacked predictors interleaved with per-cell WCMA.
+PREDICTORS = (
+    "ridge", "ewma", "wcma", "gbm", "persistence", "previous-day", "moving-average",
+)
 FAST = TrainingConfig(
     min_train_days=2,
     refit_days=2,
@@ -37,13 +42,14 @@ FAST = TrainingConfig(
 
 @pytest.fixture(scope="module")
 def matrix():
-    """Learned matrix with an interleaved predictor order, so the slab
+    """Matrix with an interleaved predictor order, so the slab
     reassembly has to slot stacked columns between per-cell rows."""
+    assert set(PREDICTORS) - {"wcma"} == set(robustness.STACKED_MATRIX_PREDICTORS)
     return robustness.run(
         n_days=DAYS,
         sites=SITES,
         scenarios=SCENARIOS,
-        predictors=("ridge", "ewma", "gbm"),
+        predictors=PREDICTORS,
         seed=SEED,
         tune_wcma=False,
         training=FAST,
@@ -58,28 +64,32 @@ class TestSlabEqualsPerCell:
             (scenario, site, name)
             for site in SITES
             for scenario in ("clean",) + SCENARIOS
-            for name in ("ridge", "ewma", "gbm")
+            for name in PREDICTORS
         ]
         got = [(r["scenario"], r["site"], r["predictor"]) for r in matrix.rows]
         assert got == expected
 
     def test_learned_rows_exactly_match_scalar_evaluation(self, matrix):
-        """Every stacked cell equals an independent scalar
+        """Every stacked cell equals an independent scalar-face
         ``evaluate_predictor`` run bit-for-bit -- ``==``, not approx."""
+        stacked = 0
         for row in matrix.rows:
             if row["predictor"] not in robustness.STACKED_MATRIX_PREDICTORS:
                 continue
+            stacked += 1
             perturbed = make_scenario(row["scenario"], seed=SEED).apply(
                 trace_for(row["site"], DAYS)
             )
+            kwargs = {"training": FAST} if row["predictor"] in ("ridge", "gbm") else {}
             expected = evaluate_predictor(
-                make_predictor(row["predictor"], N_SLOTS, training=FAST),
+                make_predictor(row["predictor"], N_SLOTS, **kwargs),
                 perturbed,
                 N_SLOTS,
             ).mape
             assert row["mape"] == float(expected), (
                 row["scenario"], row["site"], row["predictor"],
             )
+        assert stacked == 6 * len(SITES) * (1 + len(SCENARIOS))
 
     def test_degradation_column_filled(self, matrix):
         for row in matrix.rows:
@@ -106,8 +116,9 @@ class TestSlabCacheKeys:
         stats = []
         first = self._run(cache, FAST, stats)
         again = self._run(cache, FAST, stats)
+        # One slab runs; its 6 cells are then cached one by one.
         assert stats[0].cache_misses == 1 and stats[0].cache_hits == 0
-        assert stats[1].cache_hits == 1 and stats[1].cache_misses == 0
+        assert stats[1].cache_hits == 6 and stats[1].cache_misses == 0
         assert again.rows == first.rows
 
     def test_training_config_flip_misses(self, tmp_path):
@@ -119,9 +130,49 @@ class TestSlabCacheKeys:
         flipped = dataclasses.replace(FAST, ridge_lambda=0.5)
         self._run(cache, flipped, stats)
         assert stats[1].cache_misses == 1 and stats[1].cache_hits == 0
-        # The original config still resolves to its own cached slab.
+        # The original config still resolves to its own cached cells.
         self._run(cache, FAST, stats)
-        assert stats[2].cache_hits == 1 and stats[2].cache_misses == 0
+        assert stats[2].cache_hits == 6 and stats[2].cache_misses == 0
+
+    def test_wider_matrix_reruns_only_new_cells(self, tmp_path):
+        """Cells are cached one by one: adding a scenario runs one slab
+        over just its cells, and that narrower slab's columns equal the
+        full-grid slab's, bit for bit."""
+        cache = ResultCache(tmp_path / "c", salt="s")
+        stats = []
+        kwargs = dict(
+            n_days=DAYS, sites=SITES, predictors=("ridge", "persistence"),
+            seed=SEED, tune_wcma=False, training=FAST,
+        )
+        robustness.run(scenarios=("dropout",), cache=cache, **kwargs)
+        wider = robustness.run(
+            scenarios=SCENARIOS, cache=cache, stats=stats, **kwargs
+        )
+        # 2 predictors x 2 sites x (clean + dropout) cached; one slab per
+        # predictor over the 2 jitter cells.
+        assert stats[0].cache_hits == 8 and stats[0].cache_misses == 2
+        assert wider.rows == robustness.run(scenarios=SCENARIOS, **kwargs).rows
+
+    def test_finished_slab_survives_interruption(self, tmp_path, monkeypatch):
+        """A slab's payload is stored the moment it completes, so a run
+        interrupted before splitting it into one-cell entries resumes
+        without re-running the slab."""
+        cache = ResultCache(tmp_path / "c", salt="s")
+        real_put = ResultCache.put
+
+        def put(self, key, value):
+            if isinstance(value, dict) and len(value["mape"]) == 1:
+                raise KeyboardInterrupt  # the split of the finished slab
+            real_put(self, key, value)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        with pytest.raises(KeyboardInterrupt):
+            self._run(cache, FAST, [])
+        monkeypatch.setattr(ResultCache, "put", real_put)
+        stats = []
+        resumed = self._run(cache, FAST, stats)
+        assert stats[0].cache_hits == 1 and stats[0].cache_misses == 0
+        assert resumed.rows == self._run(None, FAST, []).rows
 
     def test_feature_schema_version_in_key(self, tmp_path, monkeypatch):
         """A feature redefinition (schema bump) invalidates slabs."""

@@ -6,10 +6,12 @@ produce byte-identical artifact files and equal content digests.  Dict
 iteration order is the classic leak this catches -- any fit path that
 walks an unordered set of features or keys will diverge here.
 
-The fit ``engine`` joins the matrix: the batched stacked kernels and
-the frozen scalar reference loop must produce byte-identical artifacts
-in fresh interpreters too, so the fast path can never fork artifact
-provenance.
+The fit joins the matrix: the batched stacked kernel and the frozen
+scalar reference loop (``tests.oracles.learn``, patched in for
+``fit_model_batch``) must produce byte-identical artifacts in fresh
+interpreters too, so the fast path can never fork artifact provenance.
+The subprocess runs from the repository root so that ``tests`` is
+importable.
 """
 
 import json
@@ -22,17 +24,21 @@ import pytest
 
 _SCRIPT = """
 import hashlib, json, sys
+from repro.learn import training as learn_training
 from repro.learn.artifact import ArtifactStore
 from repro.learn.models import TrainingConfig
 from repro.learn.training import fit_artifact
 from repro.experiments.common import trace_for
 
-out_dir, model, engine = sys.argv[1], sys.argv[2], sys.argv[3]
+out_dir, model, fit = sys.argv[1], sys.argv[2], sys.argv[3]
+if fit == "loop":
+    from tests.oracles.learn import fit_model_batch_reference
+
+    learn_training.fit_model_batch = fit_model_batch_reference
 trace = trace_for("PFCI", 16)
 artifact = fit_artifact(
     trace, 24, model=model, site="PFCI",
     training=TrainingConfig(min_train_days=4, gbm_rounds=12, seed=7),
-    engine=engine,
 )
 store = ArtifactStore(out_dir)
 digest = store.save(artifact)
@@ -44,15 +50,19 @@ print(json.dumps({
 """
 
 
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
 def _train_in_subprocess(
-    tmp_path: Path, model: str, hash_seed: str, engine: str = "batched"
+    tmp_path: Path, model: str, hash_seed: str, fit: str = "batched"
 ) -> dict:
-    out_dir = tmp_path / f"hs{hash_seed}-{model}-{engine}"
+    out_dir = tmp_path / f"hs{hash_seed}-{model}-{fit}"
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(out_dir), model, engine],
+        [sys.executable, "-c", _SCRIPT, str(out_dir), model, fit],
+        cwd=REPO_ROOT,
         env=env,
         capture_output=True,
         text=True,
@@ -73,11 +83,11 @@ def test_training_is_hashseed_invariant(tmp_path, model):
 @pytest.mark.parametrize("model", ["ridge", "gbm"])
 def test_batched_engine_matches_loop_across_hashseeds(tmp_path, model):
     """The batched fast path and the frozen scalar reference produce one
-    artifact: every (engine, PYTHONHASHSEED) combination must agree on
+    artifact: every (fit, PYTHONHASHSEED) combination must agree on
     both the content digest and the on-disk bytes."""
     results = [
-        _train_in_subprocess(tmp_path, model, hash_seed, engine)
-        for engine in ("batched", "loop")
+        _train_in_subprocess(tmp_path, model, hash_seed, fit)
+        for fit in ("batched", "loop")
         for hash_seed in ("0", "42")
     ]
     assert len({r["digest"] for r in results}) == 1

@@ -1,13 +1,15 @@
 """Bitwise parity pins for the learned-tier fast path.
 
 The batched training kernels (``fit_ridge_batch`` / ``fit_gbm_batch``),
-the vectorized scalar ``fit_gbm``, and the kernel's ``engine="batched"``
-refit dispatch must reproduce the frozen PR 9 scalar loops in
-:mod:`repro.learn.reference` *bitwise* -- GBM split selection is an
+the vectorized scalar ``fit_gbm``, and the online kernel's stacked
+refit must reproduce the frozen original scalar loops in the
+``tests.oracles.learn`` oracle *bitwise* -- GBM split selection is an
 argmax over gains, so any last-ulp drift can flip a split and break the
 byte-pinned robustness goldens.  Every assertion here is exact
 equality, not a tolerance.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,9 +26,14 @@ from repro.learn.models import (
     score_stumps,
     unstack_params,
 )
-from repro.learn.predictor import REFIT_ENGINES, LearnedKernel, LearnedPredictor
-from repro.learn.reference import (
+from repro.learn import predictor as learned
+from repro.learn.features import FeatureConfig
+from repro.learn.predictor import LearnedKernel, LearnedPredictor
+from repro.solar.datasets import build_dataset
+from repro.solar.slots import SlotView
+from tests.oracles.learn import (
     fit_gbm_reference,
+    fit_model_batch_reference,
     fit_model_reference,
     fit_ridge_reference,
 )
@@ -201,47 +208,40 @@ class TestSharedStumpWalk:
 
 
 class TestEngineParity:
-    """``engine="batched"`` and ``engine="loop"`` kernels emit
-    identical predictions over a full online run."""
+    """The kernel's stacked refit and the frozen per-node oracle
+    (patched in for ``fit_model_batch``) emit identical predictions
+    over a full online run."""
+
+    @staticmethod
+    def _stream(model, n_slots, values, means):
+        kernel = LearnedKernel(
+            n_slots, batch_size=values.shape[1], model=model, training=FAST
+        )
+        out = []
+        for t, row in enumerate(values):
+            if t > 0:
+                kernel.provide_slot_mean(means[t - 1])
+            out.append(kernel.observe(row.copy()))
+        return np.array(out), kernel.fit_count
 
     @pytest.mark.parametrize("model", ["ridge", "gbm"])
-    def test_observe_stream_bitwise(self, model, rng):
+    def test_observe_stream_bitwise(self, model, rng, monkeypatch):
         n_slots, n_days, B = 6, 9, 5
         values = rng.uniform(0, 900, size=(n_slots * n_days, B))
         means = rng.uniform(0, 900, size=(n_slots * n_days, B))
-        batched = LearnedKernel(
-            n_slots, batch_size=B, model=model, training=FAST, engine="batched"
-        )
-        loop = LearnedKernel(
-            n_slots, batch_size=B, model=model, training=FAST, engine="loop"
-        )
-        assert batched.engine == "batched" and loop.engine == "loop"
-        for t, row in enumerate(values):
-            if t > 0:
-                batched.provide_slot_mean(means[t - 1])
-                loop.provide_slot_mean(means[t - 1])
-            assert np.array_equal(
-                batched.observe(row.copy()), loop.observe(row.copy())
-            ), f"engines diverged at t={t}"
-        assert batched.fit_count == loop.fit_count > 0
+        batched, batched_fits = self._stream(model, n_slots, values, means)
 
-    def test_default_engine_is_batched(self):
-        assert LearnedKernel(6, training=FAST).engine == "batched"
-        assert REFIT_ENGINES == ("batched", "loop")
+        oracle_calls = []
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="refit engine"):
-            LearnedKernel(6, training=FAST, engine="warp")
-        with pytest.raises(ValueError, match="refit engine"):
-            LearnedPredictor(6, training=FAST, engine="warp")
+        def per_node(*args, **kwargs):
+            oracle_calls.append(args[1].shape)
+            return fit_model_batch_reference(*args, **kwargs)
 
-    def test_engine_not_in_state_dict(self):
-        """A perf knob must not fracture checkpoint compatibility."""
-        a = LearnedPredictor(6, model="ridge", training=FAST, engine="loop")
-        b = LearnedPredictor(6, model="ridge", training=FAST, engine="batched")
-        state = a.state_dict()
-        assert "engine" not in state
-        b.load_state_dict(state)  # must not raise
+        monkeypatch.setattr(learned, "fit_model_batch", per_node)
+        loop, loop_fits = self._stream(model, n_slots, values, means)
+        assert len(oracle_calls) == loop_fits == batched_fits > 0
+        for t in range(values.shape[0]):
+            assert np.array_equal(batched[t], loop[t]), f"fits diverged at t={t}"
 
 
 class TestColumnStackingExact:
@@ -267,6 +267,42 @@ class TestColumnStackingExact:
             batch = kernel.observe(row.copy())
             for b, p in enumerate(scalars):
                 assert batch[b] == p.observe(row[b]), (model, t, b)
+
+    @pytest.mark.parametrize("model", ["ridge", "gbm"])
+    def test_deep_mu_columns_equal_single_node(self, model):
+        """At ``mu_days=10`` the day-history mean features average up to
+        10 days; a 3-node kernel's columns must still equal 1-node
+        kernels bit for bit (numpy's ``mean`` sums a lone column
+        pairwise from 8 rows on, wider batches in order).  The first
+        fit waits for 10 days, so the pre-fit fallback blend reads the
+        deep means directly too."""
+        views = [
+            SlotView.from_trace(build_dataset(site, n_days=20), 48)
+            for site in ("HSU", "PFCI", "ORNL")
+        ]
+        starts = np.stack([v.flat_starts() for v in views], axis=1)
+        means = np.stack([v.flat_means() for v in views], axis=1)
+        features = FeatureConfig(mu_days=10)
+        training = dataclasses.replace(FAST, min_train_days=10, window_days=10)
+
+        def run(columns):
+            kernel = LearnedKernel(
+                48, batch_size=len(columns), model=model,
+                features=features, training=training,
+            )
+            out = np.empty((starts.shape[0], len(columns)))
+            for t in range(starts.shape[0]):
+                if t > 0:
+                    kernel.provide_slot_mean(means[t - 1, columns])
+                out[t] = kernel.observe(starts[t, columns])
+            assert kernel.fit_count > 0
+            return out
+
+        stacked = run([0, 1, 2])
+        for b in range(3):
+            np.testing.assert_array_equal(
+                stacked[:, b], run([b])[:, 0], err_msg=f"{model} column {b}"
+            )
 
 
 class TestStageSeconds:

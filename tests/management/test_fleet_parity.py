@@ -4,8 +4,8 @@ For every built-in predictor and every built-in controller, a B-node
 fleet run with per-node configurations identical to B independent
 :class:`~repro.management.node.SensorNodeSimulation` runs must match
 those runs elementwise across every per-slot record array: exactly for
-WCMA, whose scalar predictor is the fleet kernel's B=1 face, and to
-~1e-9 for the predictors that still have a separate scalar twin.
+the five vectorized predictors, whose scalar predictors are the fleet
+kernels' B=1 faces, and to ~1e-9 for the scalar-only fallback.
 
 The fleet nodes deliberately differ from *each other* (different
 traces, storage capacities and types) so the test exercises real
@@ -43,16 +43,19 @@ RECORD_FIELDS = (
     "shortfall_joules",
 )
 
-#: (name, factory kwargs) for every registered predictor exercised by
-#: the fleet engine -- the five vectorized ones plus a scalar-only
-#: fallback.  Small D keeps warm-up short on the 12-day test traces.
+#: (id, name, factory kwargs) for every registered predictor exercised
+#: by the fleet engine -- the five vectorized ones plus a scalar-only
+#: fallback.  Small D keeps warm-up short on the 12-day test traces;
+#: the D=10 moving average reaches the depths (>= 8) where a lone
+#: column's history mean once took numpy's pairwise-summation path.
 PREDICTOR_CASES = [
-    ("wcma", {"alpha": 0.7, "days": 3, "k": 2}),
-    ("ewma", {"gamma": 0.5}),
-    ("persistence", {}),
-    ("previous-day", {}),
-    ("moving-average", {"days": 3}),
-    ("pro-energy", {}),  # no vector kernel: per-node scalar fallback
+    ("wcma", "wcma", {"alpha": 0.7, "days": 3, "k": 2}),
+    ("ewma", "ewma", {"gamma": 0.5}),
+    ("persistence", "persistence", {}),
+    ("previous-day", "previous-day", {}),
+    ("moving-average", "moving-average", {"days": 3}),
+    ("moving-average-d10", "moving-average", {"days": 10}),
+    ("pro-energy", "pro-energy", {}),  # no vector kernel: per-node scalar fallback
 ]
 
 CONTROLLER_KINDS = ("kansal", "minvar", "fixed", "oracle")
@@ -97,7 +100,7 @@ def _node_configs(traces):
 #: Predictors whose scalar form is the ``B == 1`` face of the fleet
 #: kernel: one code path, so the fleet must match its scalar runs
 #: exactly rather than to 1e-9.
-EXACT_PREDICTORS = ("wcma",)
+EXACT_PREDICTORS = ("wcma", "ewma", "persistence", "previous-day", "moving-average")
 
 
 def _assert_fleet_matches_scalars(traces, predictor_name, predictor_kwargs, kind):
@@ -142,7 +145,9 @@ class TestPredictorParity:
     """Every predictor, under the Kansal controller."""
 
     @pytest.mark.parametrize(
-        "name,kwargs", PREDICTOR_CASES, ids=[c[0] for c in PREDICTOR_CASES]
+        "name,kwargs",
+        [case[1:] for case in PREDICTOR_CASES],
+        ids=[case[0] for case in PREDICTOR_CASES],
     )
     def test_fleet_matches_scalar_runs(self, traces, name, kwargs):
         _assert_fleet_matches_scalars(traces, name, kwargs, "kansal")
@@ -202,7 +207,7 @@ class TestMixedFleetParity:
                 np.testing.assert_allclose(
                     getattr(node_result, field),
                     getattr(scalar_result, field),
-                    atol=1e-9,
+                    atol=0.0 if name in EXACT_PREDICTORS else 1e-9,
                     rtol=0.0,
                     err_msg=f"{name}/{kind}, node {node}, {field}",
                 )

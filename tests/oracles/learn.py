@@ -1,16 +1,15 @@
 """Frozen scalar training kernels: the learned tier's parity baseline.
 
 These are verbatim copies of the pre-fast-path ``fit_ridge`` /
-``fit_gbm`` loops (PR 9), kept in the tree the same way
-``repro.core.sweep_reference`` keeps the frozen WCMA sweep loops: the
-batched kernels in :mod:`repro.learn.models` must reproduce these
-functions *bitwise* -- not to a tolerance -- because GBM split
-selection is an argmax over gains and the robustness goldens pin the
-learned matrix byte-for-byte.  ``tests/learn/test_fast_path.py`` pins
-``fit_model`` / ``fit_model_batch`` against this module, and
-``LearnedKernel(engine="loop")`` / ``fit_artifact(engine="loop")``
-refit through it per node, so the reference stays executable on the
-real dispatch path, not just in tests.
+``fit_gbm`` loops, kept beside the frozen WCMA sweep loops
+(``tests/oracles/sweep.py``): the batched kernels in
+:mod:`repro.learn.models` must reproduce these functions *bitwise* --
+not to a tolerance -- because GBM split selection is an argmax over
+gains and the robustness goldens pin the learned matrix byte-for-byte.
+``tests/learn/test_fast_path.py`` pins ``fit_model`` /
+``fit_model_batch`` against this module, and
+:func:`fit_model_batch_reference` stands in for ``fit_model_batch`` so
+a whole online kernel or artifact fit can run on the per-node oracle.
 
 Do not edit the numerics here.  If the model definition changes, the
 change lands in :mod:`repro.learn.models` first, this file is refrozen
@@ -19,6 +18,7 @@ to match, and the goldens are regenerated -- in that order.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional
 
 import numpy as np
@@ -30,11 +30,12 @@ __all__ = [
     "fit_ridge_reference",
     "fit_gbm_reference",
     "fit_model_reference",
+    "fit_model_batch_reference",
 ]
 
 
 def fit_standardizer_reference(X: np.ndarray):
-    """Frozen copy of the PR 9 ``fit_standardizer``."""
+    """Frozen copy of the original ``fit_standardizer``."""
     X = np.asarray(X, dtype=float)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -43,7 +44,7 @@ def fit_standardizer_reference(X: np.ndarray):
 
 
 def fit_ridge_reference(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
-    """Frozen copy of the PR 9 scalar ``fit_ridge``."""
+    """Frozen copy of the original scalar ``fit_ridge``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, n_features = X.shape
@@ -68,7 +69,7 @@ def fit_gbm_reference(
     config: TrainingConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> dict:
-    """Frozen copy of the PR 9 scalar ``fit_gbm`` (per-feature loop)."""
+    """Frozen copy of the original scalar ``fit_gbm`` (per-feature loop)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, n_features = X.shape
@@ -150,9 +151,38 @@ def fit_model_reference(
     config: TrainingConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> dict:
-    """Frozen scalar dispatch -- the per-node half of engine parity."""
+    """Frozen scalar dispatch: one node's fit."""
     if kind == "ridge":
         return fit_ridge_reference(X, y, config.ridge_lambda)
     if kind == "gbm":
         return fit_gbm_reference(X, y, config, rng=rng)
     raise ValueError(f"unknown model kind {kind!r}; known: {MODEL_KINDS}")
+
+
+def fit_model_batch_reference(
+    kind: str,
+    X: np.ndarray,
+    y: np.ndarray,
+    config: TrainingConfig,
+    rng: Optional[np.random.Generator] = None,
+) -> dict:
+    """``fit_model_batch`` computed node by node with the frozen fits.
+
+    Each node gets its own deep copy of ``rng``: the kernel passes a
+    fresh ``default_rng([seed, fit_count])``, so every copy reproduces
+    the stream a dedicated single-node fit would draw.  Returns the
+    stacked ``(B, ...)`` param dict ``fit_model_batch`` returns.
+    """
+    fits = [
+        fit_model_reference(kind, X[:, b, :], y[:, b], config, copy.deepcopy(rng))
+        for b in range(X.shape[1])
+    ]
+    stacked = {
+        key: np.stack([fit[key] for fit in fits])
+        for key in fits[0]
+        if key not in ("kind", "learning_rate")
+    }
+    stacked["kind"] = kind
+    if "learning_rate" in fits[0]:
+        stacked["learning_rate"] = fits[0]["learning_rate"]
+    return stacked

@@ -21,8 +21,10 @@ It exists for two reasons and should not grow features:
 2. **Benchmarking.** ``benchmarks/test_bench_sweep.py`` measures the
    fused engine against this exact "before" and asserts the >= 5x bar.
 
-``grid_search(engine="loop")`` routes here, so the baseline stays
-executable from the public API.
+:func:`reference_grid_search` is the whole pre-v2 ``grid_search``: the
+same batch, reference series and region-of-interest mask as
+:func:`repro.core.optimizer.grid_search`, scored by
+:func:`reference_error_cube`.
 """
 
 from __future__ import annotations
@@ -31,10 +33,23 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.wcma import ETA_FLOOR_FRACTION, MU_EPS, WCMAParams, mu_matrix
+from repro.core.optimizer import (
+    DEFAULT_ALPHAS,
+    DEFAULT_DAYS,
+    DEFAULT_KS,
+    GridSearchResult,
+)
+from repro.core.wcma import (
+    ETA_FLOOR_FRACTION,
+    MU_EPS,
+    WCMABatch,
+    WCMAParams,
+    mu_matrix,
+)
+from repro.metrics.roi import DEFAULT_ROI_FRACTION, DEFAULT_WARMUP_DAYS, roi_mask
 from repro.solar.slots import SlotView
 
-__all__ = ["ReferenceBatch", "reference_error_cube"]
+__all__ = ["ReferenceBatch", "reference_error_cube", "reference_grid_search"]
 
 
 class ReferenceBatch:
@@ -125,3 +140,44 @@ def reference_error_cube(
             pct = np.abs(ref_sel - preds) / ref_sel
             errors[i, j, :] = pct.mean(axis=1)
     return errors
+
+
+def reference_grid_search(
+    trace,
+    n_slots: int,
+    alphas: Sequence[float] = DEFAULT_ALPHAS,
+    days: Sequence[int] = DEFAULT_DAYS,
+    ks: Sequence[int] = DEFAULT_KS,
+    objective: str = "mape",
+    roi_fraction: float = DEFAULT_ROI_FRACTION,
+    warmup_days: int = DEFAULT_WARMUP_DAYS,
+    batch: WCMABatch = None,
+) -> GridSearchResult:
+    """The pre-v2 ``grid_search``: one reference cube on the same ROI."""
+    alphas = tuple(float(a) for a in alphas)
+    days = tuple(int(d) for d in days)
+    ks = tuple(int(k) for k in ks)
+    if batch is None:
+        batch = WCMABatch.from_trace(trace, n_slots)
+    if objective == "mape":
+        reference = batch.reference_mean
+    else:
+        reference = batch.reference_next_start
+    mask = roi_mask(
+        reference, n_slots, roi_fraction=roi_fraction, warmup_days=warmup_days
+    )
+    errors = reference_error_cube(
+        ReferenceBatch(batch.view, batch.eta_floor_fraction),
+        days, ks, alphas, reference, mask,
+    )
+    i, j, a = np.unravel_index(np.nanargmin(errors), errors.shape)
+    return GridSearchResult(
+        best=WCMAParams(alpha=alphas[a], days=days[i], k=ks[j]),
+        best_error=float(errors[i, j, a]),
+        objective=objective,
+        errors=errors,
+        alphas=alphas,
+        days=days,
+        ks=ks,
+        n_slots=n_slots,
+    )

@@ -11,7 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.base import DayHistory, OnlinePredictor
+from repro.core.base import FleetDayHistory, OnlinePredictor
 from repro.core.ewma import EWMAPredictor
 from repro.core.registry import make_predictor
 from repro.core.wcma import WCMAParams, WCMAPredictor
@@ -88,9 +88,15 @@ class TestCheckpointResume:
             EWMAPredictor(48, gamma=0.25).load_state_dict(snap)
 
     def test_history_geometry_mismatch_rejected(self):
-        h = DayHistory(n_slots=48, depth=4)
-        with pytest.raises(ValueError, match="history"):
-            DayHistory(n_slots=24, depth=4).load_state_dict(h.state_dict())
+        for B in (1, 3):
+            h = FleetDayHistory(n_slots=48, depth=4, batch_size=B)
+            for other in (
+                FleetDayHistory(n_slots=24, depth=4, batch_size=B),
+                FleetDayHistory(n_slots=48, depth=5, batch_size=B),
+                FleetDayHistory(n_slots=48, depth=4, batch_size=B + 1),
+            ):
+                with pytest.raises(ValueError, match="history"):
+                    other.load_state_dict(h.state_dict())
 
     def test_default_predictors_without_support_raise(self):
         class Bare(OnlinePredictor):

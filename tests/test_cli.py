@@ -460,10 +460,12 @@ class TestCacheCommand:
         ]
         assert main(argv) == 0
         first = capsys.readouterr()
-        assert "cache-misses=2" in first.err
+        # 2 wcma cells (clean + dropout) + the ewma and persistence slabs.
+        assert "cache-misses=4" in first.err
         assert main(argv) == 0
         second = capsys.readouterr()
-        assert "cache-hits=2" in second.err
+        # The 2 wcma cells + the 2 x 2 stacked cells, each cached.
+        assert "cache-hits=6" in second.err
         assert first.out == second.out
 
     def test_backend_choice_rejected(self, capsys):
