@@ -11,9 +11,12 @@ under ``REPRO_BENCH_RECORD=1`` (uploaded as a CI artifact beside
   The gate applies at the early-window fleet refit shape (``B=64``
   nodes, ``n=96`` rows -- two 48-slot days): the GBM kernel and the
   combined ridge+GBM refit must both clear
-  :data:`MIN_REFIT_SPEEDUP`; the steady-state 60-day window (``n=2880``)
-  is recorded honestly (its speedup is smaller -- the per-node loop is
-  already matmul-bound there) but not gated.
+  :data:`MIN_REFIT_SPEEDUP`.  The other shapes -- a wider fleet and
+  the steady-state 60-day window (``n=2880``, whose speedup is smaller:
+  the per-node loop is already matmul-bound there) -- are recorded
+  honestly but not gated, so they are measured only when the record is
+  written (``REPRO_BENCH_RECORD=1``); a plain tier-1 run times the
+  gated shape alone.
 * **Matrix throughput** -- the learned robustness slice, column-stacked
   (one B-cell :class:`~repro.learn.predictor.LearnedKernel` slab per
   predictor) vs the per-cell scalar path it replaced, with learned
@@ -36,6 +39,7 @@ from repro.learn.models import TrainingConfig, fit_model_batch, unstack_params
 from tests.oracles.learn import fit_model_reference
 
 IS_CI = bool(os.environ.get("CI"))
+RECORDING = os.environ.get("REPRO_BENCH_RECORD") == "1"
 #: The ISSUE gate: >= 5x batched-vs-loop refit at the fleet shape.
 #: Softened on shared CI runners the same way the parallel bench is.
 MIN_REFIT_SPEEDUP = 3.0 if IS_CI else 5.0
@@ -99,7 +103,7 @@ def test_bench_learn_refit_speedup():
     config = TrainingConfig()
     entry = {"shapes": {}, "gate_shape": list(GATE_SHAPE)}
     gate = {}
-    for B, n in REFIT_SHAPES:
+    for B, n in REFIT_SHAPES if RECORDING else (GATE_SHAPE,):
         X, y = _refit_window(B, n)
         shape_entry = {}
         # Best-of-3 where the gate needs a stable number; the

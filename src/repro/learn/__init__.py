@@ -13,7 +13,7 @@ The train/serve split in one package:
 * :mod:`repro.learn.training` -- offline ``fit()`` producing a
   versioned :class:`~repro.learn.artifact.ModelArtifact`.
 * :mod:`repro.learn.artifact` -- atomic, schema-validated persistence
-  (the :class:`~repro.serve.state.StateStore` envelope pattern).
+  through :mod:`repro.store` (allowlisted loads, the state envelope).
 """
 
 from repro.learn.artifact import (

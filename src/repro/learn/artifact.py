@@ -10,29 +10,26 @@ whole artifact is byte-identical across processes and
 every array in a fixed dtype/layout), which
 ``tests/learn/test_determinism.py`` pins via subprocesses.
 
-:class:`ArtifactStore` persists them with the exact envelope pattern of
-:class:`repro.serve.state.StateStore` -- a pickled
-``{format, version, site, model, feature_schema, artifact}`` dict
-written atomically (temp file + ``os.replace``) -- and its loader
-additionally validates the **feature schema**: an artifact trained
-against a different :data:`~repro.learn.features.FEATURE_SCHEMA_VERSION`
-is rejected with an error naming both versions, because feeding
-schema-v1 features to schema-v2 weights would silently mis-predict
-(the bug class the plain format/version/site checks cannot catch).
+:class:`ArtifactStore` persists them through :mod:`repro.store` in the
+envelope layout of :class:`repro.serve.state.StateStore` -- a pickled
+``{format, version, site, model, feature_schema, artifact}`` dict --
+and its loader additionally validates the **feature schema**: an
+artifact trained against a different
+:data:`~repro.learn.features.FEATURE_SCHEMA_VERSION` is rejected with
+an error naming both versions, because feeding schema-v1 features to
+schema-v2 weights would silently mis-predict.  Every file that cannot
+be served is an :class:`ArtifactError`.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Tuple
 
 from repro.learn.features import FEATURE_SCHEMA_VERSION
 from repro.learn.models import MODEL_KINDS
-from repro.serve.state import state_digest
+from repro.store import Envelope, value_digest
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -47,17 +44,14 @@ ARTIFACT_FORMAT = "repro-solar model artifact"
 #: Bump when the envelope layout changes; load refuses other versions.
 ARTIFACT_VERSION = 1
 
-_SUFFIX = ".model.pkl"
-
 
 class ArtifactError(ValueError):
     """An artifact file exists but cannot serve this build."""
 
 
-def _slug(name: str) -> str:
-    """File-name-safe form of a site/model name."""
-    cleaned = "".join(c if c.isalnum() or c in "-_" else "-" for c in name)
-    return cleaned or "x"
+_ENVELOPE = Envelope(
+    ARTIFACT_FORMAT, ARTIFACT_VERSION, "artifact", "model", ".model.pkl", ArtifactError
+)
 
 
 @dataclass(frozen=True)
@@ -124,58 +118,28 @@ class ModelArtifact:
         )
 
     def digest(self) -> str:
-        """Value-based content fingerprint (16 hex chars).
-
-        Reuses :func:`repro.serve.state.state_digest`, so equal
-        artifacts digest equally regardless of interning or a pickle
-        round trip; serve audit lines and the determinism tests both
-        key on this.
-        """
-        return state_digest(self.to_dict())
+        """Value-based content fingerprint (16 hex chars), cut from
+        :func:`repro.store.value_digest` like a serve state digest."""
+        return value_digest(self.to_dict())[:16]
 
 
 class ArtifactStore:
-    """One directory of atomic per-``(site, model)`` artifacts.
-
-    Mirrors :class:`repro.serve.state.StateStore`: plain directory, one
-    file per pair, every write a temp file + ``os.replace`` so readers
-    always see a complete artifact.
-    """
+    """One directory of atomic per-``(site, model)`` artifacts."""
 
     def __init__(self, root):
         self.root = Path(root)
 
     def path_for(self, site: str, model: str) -> Path:
         """Artifact path of one ``(site, model)`` pair."""
-        return self.root / f"{_slug(site)}__{_slug(model)}{_SUFFIX}"
+        return _ENVELOPE.path(self.root, site, model)
 
-    # -- write ---------------------------------------------------------
     def save(self, artifact: ModelArtifact) -> str:
         """Atomically persist ``artifact``; returns its digest."""
-        path = self.path_for(artifact.site, artifact.model)
-        self.root.mkdir(parents=True, exist_ok=True)
-        envelope = {
-            "format": ARTIFACT_FORMAT,
-            "version": ARTIFACT_VERSION,
-            "site": artifact.site,
-            "model": artifact.model,
-            "feature_schema": artifact.feature_schema,
-            "artifact": artifact.to_dict(),
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        site, model = artifact.site, artifact.model
+        _ENVELOPE.save(self.path_for(site, model), site, model,
+                       feature_schema=artifact.feature_schema, artifact=artifact.to_dict())
         return artifact.digest()
 
-    # -- read ----------------------------------------------------------
     def load(self, site: str, model: str) -> Optional[ModelArtifact]:
         """The saved artifact, or None when none exists for the pair.
 
@@ -186,53 +150,22 @@ class ArtifactStore:
         silent mis-prediction.
         """
         path = self.path_for(site, model)
-        try:
-            with open(path, "rb") as handle:
-                envelope = pickle.load(handle)
-        except FileNotFoundError:
+        envelope = _ENVELOPE.load(path, site, model)
+        if envelope is None:
             return None
-        except (OSError, pickle.UnpicklingError, EOFError) as exc:
-            raise ArtifactError(f"cannot read artifact file {path}: {exc}")
-        if not isinstance(envelope, dict) or envelope.get("format") != ARTIFACT_FORMAT:
-            raise ArtifactError(f"{path} is not a {ARTIFACT_FORMAT!r} file")
-        version = envelope.get("version")
-        if version != ARTIFACT_VERSION:
-            raise ArtifactError(
-                f"{path} has artifact-format version {version}; this build "
-                f"reads version {ARTIFACT_VERSION}"
-            )
-        if envelope.get("site") != site or envelope.get("model") != model:
-            raise ArtifactError(
-                f"{path} holds the ({envelope.get('site')}, "
-                f"{envelope.get('model')}) artifact; expected ({site}, {model})"
-            )
         schema = envelope.get("feature_schema")
-        if schema != FEATURE_SCHEMA_VERSION:
+        if type(schema) is not int or schema != FEATURE_SCHEMA_VERSION:
             raise ArtifactError(
                 f"{path} was trained against feature-schema version "
                 f"{schema}; this build computes feature-schema version "
                 f"{FEATURE_SCHEMA_VERSION} -- retrain the artifact "
                 "(its features no longer mean what the weights expect)"
             )
-        return ModelArtifact.from_dict(envelope["artifact"])
+        try:
+            return ModelArtifact.from_dict(envelope["artifact"])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise ArtifactError(f"{path} holds no valid artifact: {exc}") from None
 
     def entries(self) -> Iterator[Tuple[str, str]]:
-        """Yield the ``(site, model)`` pairs stored here.
-
-        Read from the envelopes, not file names, so slugged names
-        round-trip; unreadable files are skipped (listing is
-        informational -- :meth:`load` is where corruption is loud).
-        """
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob(f"*{_SUFFIX}")):
-            try:
-                with open(path, "rb") as handle:
-                    envelope = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError):
-                continue
-            if (
-                isinstance(envelope, dict)
-                and envelope.get("format") == ARTIFACT_FORMAT
-            ):
-                yield envelope["site"], envelope["model"]
+        """Yield the ``(site, model)`` pairs stored here."""
+        return _ENVELOPE.entries(self.root)

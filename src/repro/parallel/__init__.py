@@ -21,11 +21,9 @@ result cache") for the end-to-end picture.
 """
 
 from repro.parallel.cache import (
-    CACHE_SCHEMA_VERSION,
     MISS,
     ResultCache,
     cache_key,
-    canonical_payload,
     dataset_identity,
     default_cache_dir,
     default_salt,
@@ -46,11 +44,9 @@ from repro.parallel.fleet import (
 )
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "MISS",
     "ResultCache",
     "cache_key",
-    "canonical_payload",
     "dataset_identity",
     "default_cache_dir",
     "default_salt",

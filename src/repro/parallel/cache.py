@@ -8,58 +8,51 @@ of its spec, the identity of the datasets it reads, and the code
 version, so it can be memoised *on disk* under a digest of exactly
 those three things:
 
-``key = sha256(canonical_json({salt, payload}))``
+``key = value_digest({"salt": salt, "payload": payload})``
 
-* **payload** -- the unit spec, canonicalised the same way the golden
-  suite canonicalises results (sorted keys, tuples as lists,
-  dataclasses as tagged dicts), so the digest is stable across
-  processes and Python hash seeds.
+* **payload** -- the unit spec; :func:`repro.store.value_digest` sorts
+  keys, treats tuples as lists and tags dataclasses by type, so the
+  digest is stable across processes and Python hash seeds.
 * **dataset identity** -- synthetic sites are pure functions of their
   name (token ``None``); measured sites contribute their registered
   spec *plus a fingerprint (size + sha256) of the backing file*, so
   re-registering a name against different data -- or editing the file
   in place -- can never serve a stale memo.
-* **salt** -- the package version plus :data:`CACHE_SCHEMA_VERSION`;
-  bump the schema constant when a change alters cached payloads or
-  result semantics without a version bump.
+* **salt** -- a digest of the package's own ``*.py`` source
+  (:func:`default_salt`): any code change misses every older entry,
+  with no schema number to bump by hand.
 
 The payoff is *resume*: an interrupted multi-hour robustness matrix or
 fleet year re-runs only its missing cells, CI can shard a matrix across
 runners against a shared cache directory, and incremental recompute
 (one changed site) falls out for free.
 
-Layout on disk: ``<root>/<key[:2]>/<key>.pkl`` (pickled result,
-written atomically via rename) plus a ``cache-meta.json`` marker that
-records the salt and guards ``clear`` against pointing at a directory
-that is not a result cache.
+Layout on disk: ``<root>/<key[:2]>/<key>.pkl`` (the pickled result,
+written and read by :mod:`repro.store`) plus a ``cache-meta.json``
+marker that records the salt and guards ``clear`` against pointing at a
+directory that is not a result cache.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 from pathlib import Path
 from typing import Iterable, Optional, Tuple
 
+from repro import store
+
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "MISS",
     "ResultCache",
     "cache_key",
-    "canonical_payload",
     "dataset_identity",
     "default_cache_dir",
     "default_salt",
     "file_fingerprint",
 ]
-
-#: Schema salt: bump when cached payload shapes or result semantics
-#: change without a package-version bump (the version is salted in too).
-CACHE_SCHEMA_VERSION = 1
 
 #: Sentinel distinguishing "no entry" from a cached ``None``.
 MISS = object()
@@ -84,11 +77,17 @@ def _unlink_quiet(path: Path) -> bool:
         return False
 
 
+@functools.cache
 def default_salt() -> str:
-    """The code-version salt: package version + cache schema version."""
-    from repro import __version__
-
-    return f"{__version__}/schema-{CACHE_SCHEMA_VERSION}"
+    """The code-version salt: a digest of the package's ``*.py`` files
+    (relative paths and contents, the version included), once per process."""
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.relative_to(package).as_posix()}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -105,46 +104,11 @@ def default_cache_dir() -> Path:
     return base / "repro-solar"
 
 
-def canonical_payload(value):
-    """Recursively canonicalise ``value`` for digesting.
-
-    Tuples become lists, dict keys are forced to strings (JSON will
-    sort them), dataclass instances become ``{"__spec__": <type>, ...}``
-    tagged dicts of their canonicalised fields, and paths become
-    strings.  Unsupported types raise ``TypeError`` -- a cache key must
-    never silently depend on ``repr`` of an arbitrary object.
-    """
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        # repr round-trips exactly; no rounding -- keys must be exact.
-        return value
-    if isinstance(value, Path):
-        return str(value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: canonical_payload(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return {"__spec__": type(value).__name__, **fields}
-    if isinstance(value, dict):
-        return {str(k): canonical_payload(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [canonical_payload(v) for v in value]
-    raise TypeError(
-        f"cannot canonicalise {type(value).__name__!r} for a cache key: {value!r}"
-    )
-
-
 def cache_key(payload, salt: Optional[str] = None) -> str:
-    """sha256 digest of the canonical JSON form of ``(salt, payload)``."""
-    body = json.dumps(
-        {"salt": salt if salt is not None else default_salt(),
-         "payload": canonical_payload(payload)},
-        sort_keys=True,
-        separators=(",", ":"),
+    """sha256 value digest of ``(salt, payload)``."""
+    return store.value_digest(
+        {"salt": salt if salt is not None else default_salt(), "payload": payload}
     )
-    return hashlib.sha256(body.encode()).hexdigest()
 
 
 def file_fingerprint(path) -> dict:
@@ -170,14 +134,11 @@ def dataset_identity(site: str):
     token = dataset_token(site)
     if token is None:
         return None
-    return {
-        "spec": canonical_payload(token),
-        "file": file_fingerprint(token.path),
-    }
+    return {"spec": token, "file": file_fingerprint(token.path)}
 
 
 class ResultCache:
-    """Content-addressed pickle store under one root directory.
+    """Content-addressed value store under one root directory.
 
     Entries live at ``<root>/<key[:2]>/<key>.pkl``.  ``get``/``put``
     never raise on a corrupt or half-written entry -- a bad file is a
@@ -205,14 +166,12 @@ class ResultCache:
         """The cached value, or :data:`MISS`."""
         path = self._path(key)
         try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
+            value = store.load(path)
         except FileNotFoundError:
             self.misses += 1
             return MISS
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
-            # Corrupt / stale-format entry: drop it and treat as a miss.
+        except store.StoreError:
+            # Damaged, foreign or hostile entry: drop it and treat as a miss.
             # Another process may race us to the same conclusion; its
             # unlink winning is fine (_unlink_quiet tolerates it).
             _unlink_quiet(path)
@@ -223,20 +182,8 @@ class ResultCache:
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key`` (atomic: temp file + rename)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         self._write_marker()
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        store.save(self._path(key), value)
 
     def _write_marker(self) -> None:
         marker = self.root / _MARKER_NAME

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.management.fleet import FleetAggregate
 from repro.solar.scenarios import DEFAULT_SCENARIO_SEED
-from repro.parallel.cache import ResultCache, canonical_payload, dataset_identity
+from repro.parallel.cache import ResultCache, dataset_identity
 from repro.parallel.executor import ExecutionStats, execute_units
 
 __all__ = [
@@ -149,7 +149,7 @@ def _block_key(cache: ResultCache, plan: FleetPlan, start: int, stop: int,
     return cache.key(
         {
             "kind": "fleet-block",
-            "plan": canonical_payload(plan),
+            "plan": plan,
             "block": [start, stop],
             "dtype": dtype,
             "datasets": identities,

@@ -17,13 +17,13 @@ from repro.parallel.cache import (
     MISS,
     ResultCache,
     cache_key,
-    canonical_payload,
     dataset_identity,
     default_cache_dir,
     default_salt,
     file_fingerprint,
 )
 from repro.solar.ingest import sample_csv_path
+from repro.store import value_digest
 from repro.solar.ingest.sites import (
     clear_measured_sites,
     register_measured_site,
@@ -48,15 +48,18 @@ PAYLOAD = {
 
 
 class TestCanonicalPayload:
+    """The canonical form a key digests: the type-tagged value stream of
+    :func:`repro.store.value_digest`, which ``cache_key`` is cut from."""
+
     def test_primitives_pass_through(self):
-        assert canonical_payload(None) is None
-        assert canonical_payload(3) == 3
-        assert canonical_payload(0.25) == 0.25
-        assert canonical_payload("x") == "x"
-        assert canonical_payload(True) is True
+        values = [None, 3, 0.25, "x", True, 1.0, "3"]
+        keys = [cache_key(v, salt="s") for v in values]
+        assert len(set(keys)) == len(values)  # 3 != 3.0 != "3", True != 1
+        assert keys == [cache_key(v, salt="s") for v in values]
 
     def test_tuples_and_lists_identical(self):
-        assert canonical_payload((1, 2)) == canonical_payload([1, 2])
+        assert value_digest((1, 2)) == value_digest([1, 2])
+        assert cache_key((1, 2), salt="s") == cache_key([1, 2], salt="s")
 
     def test_dataclasses_tagged(self):
         @dataclasses.dataclass(frozen=True)
@@ -64,12 +67,23 @@ class TestCanonicalPayload:
             name: str
             n: int
 
-        out = canonical_payload(Spec("a", 2))
-        assert out == {"__spec__": "Spec", "name": "a", "n": 2}
+        @dataclasses.dataclass(frozen=True)
+        class Other:
+            name: str
+            n: int
+
+        assert value_digest(Spec("a", 2)) == value_digest(Spec("a", 2))
+        assert value_digest(Spec("a", 2)) != value_digest(Spec("a", 3))
+        # Tagged by type: same fields under another type, or as a plain
+        # dict, digest differently.
+        assert value_digest(Spec("a", 2)) != value_digest(Other("a", 2))
+        assert value_digest(Spec("a", 2)) != value_digest({"name": "a", "n": 2})
 
     def test_rejects_arbitrary_objects(self):
-        with pytest.raises(TypeError, match="canonicalise"):
-            canonical_payload(object())
+        with pytest.raises(TypeError, match="cannot digest"):
+            value_digest(object())
+        with pytest.raises(TypeError, match="cannot digest"):
+            cache_key({"spec": object()}, salt="s")
 
 
 class TestKeyStability:
