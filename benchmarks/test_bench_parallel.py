@@ -47,10 +47,11 @@ ROBUSTNESS_KWARGS = dict(
 )
 
 #: The sharded fleet month: heterogeneous axes, 4 default-size blocks.
-#: Blocks much smaller than the default pay the slot loop's fixed
-#: Python cost once per block; at 4096 nodes a block's per-slot arrays
-#: also still fit cache, so sharding tends to *beat* one monolithic
-#: pass even before any parallelism.
+#: Each block is wider than ``MAX_PASS_NODES // 2``, so it runs as its
+#: own lock-step pass and pays the slot loop's fixed Python cost once
+#: per pass (about 60-100 us per step for this plan's node mix on a
+#: 2-core Xeon, depending on load: 0.09-0.14 s over the month's 1440
+#: steps); blocks of at most 512 nodes share passes instead.
 FLEET_PLAN = FleetPlan(
     n_nodes=16384,
     sites=("SPMD",),
@@ -212,7 +213,7 @@ def test_bench_fleet_sharded():
     )
     # Fixed-size blocks are a memory/checkpoint knob, not a tax: the
     # same month in 4 blocks must cost within 25% of one monolithic run
-    # (measured: it usually *wins*, the block's arrays fit cache).
+    # (the three extra passes' fixed per-step cost is about 0.3-0.4 s).
     assert overhead < 0.25, (
         f"sharding cost {100 * overhead:.1f}% over monolithic "
         f"({sharded_s:.2f}s vs {monolithic_s:.2f}s)"

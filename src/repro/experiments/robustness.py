@@ -39,13 +39,17 @@ memoised under a digest of (site, scenario, n_days, n_slots,
 predictors, seed, tune_wcma, dataset identity, code salt) *before* the
 degradation fill -- an interrupted matrix resumes from its finished
 cells and only recomputes the missing ones.  A stacked predictor is
-cached cell by cell too: only its missing cells form the slab, whose
-payload is stored under the key of exactly that cell set as soon as it
-completes and then split into one-cell entries, so a resumed matrix
-re-runs new cells, never finished slabs.  The learned predictors' keys
-additionally fold in the full training config and the feature-schema
-version, so a hyper-parameter flip or feature redefinition re-runs the
-learned slice instead of serving it stale.
+cached cell by cell too, through
+:func:`~repro.parallel.executor.execute_passes`: each (predictor, cell)
+result is one unit, and a predictor's missing cells run together as one
+slab pass, whose MAPEs are stored under the key of exactly that cell
+set as soon as it completes and then split into one-cell entries.  A
+resumed matrix therefore re-runs new cells, never finished slabs, and
+its stats count every cell and every stacked (predictor, cell) result
+as one unit.  The learned predictors' keys additionally fold in the
+full training config and the feature-schema version, so a
+hyper-parameter flip or feature redefinition re-runs the learned slice
+instead of serving it stale.
 
 Measured sites (:mod:`repro.solar.ingest.sites`) flow through both
 harnesses by name like the synthetic six -- including their
@@ -273,7 +277,7 @@ def _slab_unit(
     n_slots: int,
     seed: int,
     training: Optional[dict],
-) -> dict:
+):
     """Score one kernel-backed predictor on many (site, scenario) cells.
 
     Each cell's perturbed trace becomes one column of a ``B``-column
@@ -289,10 +293,12 @@ def _slab_unit(
     once per cell.  ``training`` goes to the learned kernels only.
 
     Returns ``{"mape": [...]}`` with one MAPE per cell, in ``cells``
-    order, plus the kernel's cumulative features/refit/predict
-    ``"stage_seconds"`` when it reports them.
+    order -- wrapped in a :class:`~repro.parallel.executor.Timed` with
+    the kernel's cumulative features/refit/predict seconds when it
+    reports them, so the cached payload holds the MAPEs alone.
     """
     from repro.core.registry import make_vector_predictor
+    from repro.parallel.executor import Timed
     from repro.solar.slots import SlotView
 
     columns = []
@@ -331,9 +337,7 @@ def _slab_unit(
         mapes.append(float(run_.mape))
     output = {"mape": mapes}
     stages = getattr(kernel, "stage_seconds", None)
-    if stages:
-        output["stage_seconds"] = dict(stages)
-    return output
+    return Timed(output, dict(stages)) if stages else output
 
 
 def _slab_key(
@@ -439,15 +443,15 @@ def run(
     stats:
         Optional list; the call appends its
         :class:`~repro.parallel.executor.ExecutionStats` record, in
-        which each stacked (predictor, cell) result served from the
-        cache counts as one unit and one hit.
+        which every cell and every stacked (predictor, cell) result
+        counts as one unit.
     training:
         Optional :class:`~repro.learn.models.TrainingConfig` (or its
         dict form) for the learned predictors; ``None`` keeps the
         package defaults.  Folded into the learned slabs' cache keys,
         so a hyper-parameter change can never serve a stale cell.
     """
-    from repro.parallel.executor import execute_units
+    from repro.parallel.executor import execute_passes
 
     site_list = sites_for(sites)
     scenario_list = scenarios_for(scenarios)
@@ -457,7 +461,7 @@ def run(
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    # The kernel-backed predictors run column-stacked (one slab unit per
+    # The kernel-backed predictors run column-stacked (one slab pass per
     # predictor covering its uncached cells); everything else stays
     # per-cell.
     stacked = tuple(p for p in predictor_list if p in STACKED_MATRIX_PREDICTORS)
@@ -476,27 +480,43 @@ def run(
 
     cells = [(site, scenario) for site in site_list for scenario in scenario_list]
     run_cells = bool(cell_predictors) or tune_wcma
-    units: List[tuple] = []
-    if run_cells:
-        units.extend(
-            ("cell", (site, scenario, n_days, n_slots, cell_predictors,
-                      seed, tune_wcma))
-            for site, scenario in cells
-        )
     slab_training = {
         name: training_dict if name in _TRAINED_PREDICTORS else None
         for name in stacked
     }
+    # Units: one per cell (the per-cell predictors, when any), then one
+    # per (stacked predictor, cell).  A predictor's missing cells run
+    # together as one slab pass; every other unit is its own pass.
+    units: List[Tuple[Optional[str], Tuple[str, str]]] = []
+    if run_cells:
+        units.extend((None, cell) for cell in cells)
+    units.extend((name, cell) for name in stacked for cell in cells)
 
-    # Stacked results are cached per (predictor, cell); the cells still
-    # missing run together as one slab unit per predictor.
-    stacked_mapes: Dict[str, Dict[Tuple[str, str], float]] = {
-        name: {} for name in stacked
-    }
-    keys = None
-    cached_cells = 0
+    def passes(missing):
+        grouped = []
+        slabs: Dict[str, List[int]] = {}
+        for i in missing:
+            name, (site, scenario) = units[i]
+            if name is None:
+                grouped.append(([i], ("cell", (
+                    site, scenario, n_days, n_slots, cell_predictors, seed,
+                    tune_wcma,
+                ))))
+            else:
+                slabs.setdefault(name, []).append(i)
+        for name, members in slabs.items():
+            slab_cells = tuple(units[i][1] for i in members)
+            grouped.append((members, ("slab", (
+                name, slab_cells, n_days, n_slots, seed, slab_training[name],
+            ))))
+        return grouped
+
+    def split(output, members):
+        return [{"mape": [mape]} for mape in output["mape"]]
+
+    keys = pass_key = None
     if cache is not None:
-        from repro.parallel.cache import MISS, dataset_identity
+        from repro.parallel.cache import dataset_identity
 
         identities = {site: dataset_identity(site) for site in site_list}
 
@@ -506,31 +526,16 @@ def run(
                 slab_training[name], identities,
             )
 
-        keys = []
-        if run_cells:
-            keys.extend(
-                _cell_key(
-                    cache, site, scenario, n_days, n_slots, cell_predictors,
-                    seed, tune_wcma, identities[site],
-                )
-                for site, scenario in cells
-            )
-        for name in stacked:
-            for cell in cells:
-                value = cache.get(slab_key(name, (cell,)))
-                if value is not MISS:
-                    stacked_mapes[name][cell] = value["mape"][0]
-                    cached_cells += 1
-    slabs = []
-    for name in stacked:
-        missing = tuple(cell for cell in cells if cell not in stacked_mapes[name])
-        if missing:
-            slabs.append((name, missing))
-            units.append(
-                ("slab", (name, missing, n_days, n_slots, seed, slab_training[name]))
-            )
-            if keys is not None:
-                keys.append(slab_key(name, missing))
+        keys = [
+            _cell_key(
+                cache, site, scenario, n_days, n_slots, cell_predictors,
+                seed, tune_wcma, identities[site],
+            ) if name is None else slab_key(name, [(site, scenario)])
+            for name, (site, scenario) in units
+        ]
+
+        def pass_key(members):  # only slabs span several units
+            return slab_key(units[members[0]][0], [units[i][1] for i in members])
 
     initializer = None
     initargs = ()
@@ -543,53 +548,40 @@ def run(
             initializer = warm_worker
             initargs = (measured,)
 
-    outputs, exec_stats = execute_units(
+    values, exec_stats = execute_passes(
         _robustness_unit,
-        units,
+        len(units),
+        passes,
+        split=split,
+        cache=cache,
+        keys=keys,
+        pass_key=pass_key,
         jobs=jobs,
         backend=backend,
         initializer=initializer,
         initargs=initargs,
-        cache=cache,
-        keys=keys,
     )
-
-    n_cell_units = len(cells) if run_cells else 0
-    slab_outputs = outputs[n_cell_units:]
-    for (name, missing), output in zip(slabs, slab_outputs):
-        for cell, mape in zip(missing, output["mape"]):
-            stacked_mapes[name][cell] = mape
-            if cache is not None and len(missing) > 1:
-                cache.put(slab_key(name, (cell,)), {"mape": [mape]})
+    if stats is not None:
+        stats.append(exec_stats)
+    by_unit = dict(zip(units, values))
 
     # Re-interleave the slab columns into the original per-cell row
     # order (predictor_list order inside each cell, tuned WCMA last),
     # so the merged output is byte-identical to the all-per-cell path.
     rows = []
-    for c, (site, scenario) in enumerate(cells):
+    for cell in cells:
+        site, scenario = cell
         by_name: Dict[str, dict] = {}
         if run_cells:
-            by_name = {row["predictor"]: row for row in outputs[c]}
+            by_name = {row["predictor"]: row for row in by_unit[None, cell]}
         for name in predictor_list:
-            if name in stacked_mapes:
-                mape = stacked_mapes[name][site, scenario]
+            if name in stacked:
+                mape = by_unit[name, cell]["mape"][0]
                 rows.append(_matrix_row(scenario, site, name, mape))
             else:
                 rows.append(by_name[name])
         if tune_wcma:
             rows.append(by_name[TUNED_WCMA_LABEL])
-
-    stage_totals: Dict[str, float] = {}
-    for output in slab_outputs:
-        for stage, seconds in output.get("stage_seconds", {}).items():
-            stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
-    if stage_totals:
-        exec_stats.stage_seconds = stage_totals
-    # Each stacked cell served from the cache counts as one cached unit.
-    exec_stats.n_units += cached_cells
-    exec_stats.cache_hits += cached_cells
-    if stats is not None:
-        stats.append(exec_stats)
 
     _fill_degradation(rows)
     return ExperimentResult(

@@ -11,7 +11,8 @@ Parallel execution
 **(experiment, site)** pair for the trace-driven multi-site
 reproductions (Tables I/II/III/V, Fig. 7), one whole experiment for
 the cheap or single-site ones (Table IV, Figs. 2/6) -- and hands them
-to the shared executor (:func:`repro.parallel.executor.execute_units`).
+to the shared executor (:func:`repro.parallel.executor.execute_passes`,
+one unit per pass).
 Sites are independent by construction (every sweep reads only its own
 site's trace), so per-site results concatenate, in site order, to
 exactly the sequential rows; *both* code paths run the same unit split
@@ -169,7 +170,7 @@ def run_all(
         :class:`~repro.parallel.executor.ExecutionStats` record
         (benchmarks and the CLI read dispatch overhead from it).
     """
-    from repro.parallel.executor import execute_units
+    from repro.parallel.executor import execute_passes
 
     selected = tuple(only) if only is not None else EXPERIMENTS
     unknown = [e for e in selected if e not in EXPERIMENTS]
@@ -210,9 +211,11 @@ def run_all(
             initializer = warm_worker
             initargs = (measured,)
 
-    outputs, exec_stats = execute_units(
+    args = [(name, n_days, unit_sites) for name, unit_sites in units]
+    outputs, exec_stats = execute_passes(
         _run_unit,
-        [(name, n_days, unit_sites) for name, unit_sites in units],
+        len(args),
+        lambda missing: [([i], args[i]) for i in missing],
         jobs=jobs,
         backend=backend,
         initializer=initializer,

@@ -98,7 +98,7 @@ class DutyCycledLoad:
         Inverse of :meth:`power`; the controllers use it to convert an
         energy budget into a duty-cycle setting.
         """
-        if np.any(np.asarray(watts) < 0):
+        if (np.asarray(watts) < 0).any():
             raise ValueError("watts must be non-negative")
         span = self.active_power_watts - self.sleep_power_watts
         duty = (watts - self.sleep_power_watts) / span

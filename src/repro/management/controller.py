@@ -159,7 +159,7 @@ class KansalController(Controller):
         )
 
     def decide(self, predicted_watts: float, state_of_charge: float) -> float:
-        if np.any(np.asarray(predicted_watts) < 0):
+        if (np.asarray(predicted_watts) < 0).any():
             raise ValueError("predicted_watts must be non-negative")
         correction = (
             self.correction_gain
@@ -234,7 +234,7 @@ class MinimumVarianceController(Controller):
         self._average_watts = None
 
     def decide(self, predicted_watts: float, state_of_charge: float) -> float:
-        if np.any(np.asarray(predicted_watts) < 0):
+        if (np.asarray(predicted_watts) < 0).any():
             raise ValueError("predicted_watts must be non-negative")
         if self._average_watts is None:
             # `+ 0.0` copies an array argument so later in-place updates

@@ -271,6 +271,7 @@ class FleetAggregate:
         "wasted_joules_total",
         "consumed_joules_total",
     )
+    _ARRAY_FIELDS = _FLOAT_FIELDS + ("shortfall_slots",)
 
     @property
     def n_nodes(self) -> int:
@@ -332,7 +333,7 @@ class FleetAggregate:
             return first
         arrays = {
             name: np.concatenate([getattr(p, name) for p in parts])
-            for name in FleetAggregate._FLOAT_FIELDS + ("shortfall_slots",)
+            for name in FleetAggregate._ARRAY_FIELDS
         }
         return FleetAggregate(
             n_slots=first.n_slots,
@@ -340,6 +341,27 @@ class FleetAggregate:
             node_names=tuple(n for p in parts for n in p.node_names),
             **arrays,
         )
+
+    def split(self, sizes: Sequence[int]) -> List["FleetAggregate"]:
+        """Consecutive node-axis parts of ``sizes`` nodes (undoes :meth:`concat`).
+
+        Each part owns copies of its slices, so it pickles to exactly
+        the bytes of an aggregate simulated over those nodes alone.
+        """
+        if sum(sizes) != self.n_nodes:
+            raise ValueError(f"sizes {list(sizes)} do not cover {self.n_nodes} nodes")
+        parts = []
+        start = 0
+        for size in sizes:
+            stop = start + size
+            parts.append(dataclasses_replace(
+                self,
+                node_names=self.node_names[start:stop],
+                **{name: getattr(self, name)[start:stop].copy()
+                   for name in self._ARRAY_FIELDS},
+            ))
+            start = stop
+        return parts
 
 
 # ----------------------------------------------------------------------
@@ -379,12 +401,18 @@ class _ScalarPredictorColumn:
         )
 
 
+def _learns(controller: Controller) -> bool:
+    """Whether ``controller`` overrides the no-op :meth:`Controller.feedback`."""
+    return type(controller).feedback is not Controller.feedback
+
+
 class _StackedControllerColumn:
     """One array-parameterised controller covering its node columns."""
 
     def __init__(self, sel, controller: Controller):
         self.sel = sel
         self.controller = controller
+        self.learns = _learns(controller)
 
     def reset(self) -> None:
         self.controller.reset()
@@ -402,6 +430,7 @@ class _ScalarControllerColumn:
     def __init__(self, sel, controllers: List[Controller]):
         self.sel = sel
         self.controllers = controllers
+        self.learns = any(_learns(c) for c in controllers)
 
     def reset(self) -> None:
         for controller in self.controllers:
@@ -422,7 +451,12 @@ class _ScalarControllerColumn:
 
 
 class _StackedStoreColumn:
-    """One array-parameterised store covering its node columns."""
+    """One array-parameterised store covering its node columns.
+
+    Charges and discharges skip the stores' per-call input checks: the
+    simulator checks its harvest table once, and its requests are
+    non-negative by construction.
+    """
 
     def __init__(self, sel, store: Battery):
         self.sel = sel
@@ -434,10 +468,10 @@ class _StackedStoreColumn:
         return self.store.state_of_charge
 
     def charge(self, joules):
-        return self.store.charge(joules)
+        return self.store._charge(joules)
 
     def discharge(self, joules):
-        return self.store.discharge(joules)
+        return self.store._discharge(joules)
 
     def leak(self, seconds):
         self.store.leak(seconds)
@@ -487,6 +521,17 @@ def _column_selector(indices: List[int], n_nodes: int):
 class FleetSimulator:
     """Step a heterogeneous fleet of harvesting nodes in lock-step.
 
+    The slot loop's fixed Python cost is paid once per step for the
+    whole fleet, so wider fleets cost less per node; what grows with
+    width is per-node state only.  The trace-derived inputs (slot
+    starts, harvested energy, the oracle nodes' true power) are kept
+    once per distinct (trace, harvester) column -- a 4096-node fleet
+    over six sites and three scenarios holds 18 columns, not two
+    ``(total_slots, B)`` tables -- and each step gathers its ``(B,)``
+    vectors through a node-to-column index.  The sharded engine
+    (:mod:`repro.parallel.fleet`) runs each of its passes -- several
+    small blocks, or one large block -- through one simulator.
+
     Parameters
     ----------
     specs:
@@ -513,14 +558,16 @@ class FleetSimulator:
             spec.name or f"node{i}" for i, spec in enumerate(specs)
         )
 
-        # One SlotView per distinct trace object; nodes sharing a trace
-        # share the flattened sample arrays.
+        # Trace-derived inputs: one column per distinct (trace,
+        # harvester), and each node's column in ``_node_column``.
         self.slot_duration_hours = 24.0 / n_slots
         slot_seconds = self.slot_duration_hours * 3600.0
         views: Dict[int, SlotView] = {}
+        columns: Dict[tuple, int] = {}
+        sources: List[Tuple[SlotView, PVHarvester]] = []
         starts_cols = []
         energy_cols = []
-        oracle_power_cols = []
+        self._node_column = np.empty(len(specs), dtype=np.intp)
         n_days = None
         for i, spec in enumerate(specs):
             key = id(spec.trace)
@@ -534,22 +581,33 @@ class FleetSimulator:
                     f"spec {i}: trace covers {view.n_days} days, fleet "
                     f"steps {n_days}; all traces must span the same days"
                 )
-            starts_cols.append(view.flat_starts())
-            # Realized harvest per slot is a pure function of the trace,
-            # so it is precomputed through each node's own harvester --
-            # custom PVHarvester subclasses overriding power() and/or
-            # energy() keep their behaviour.
-            means = view.flat_means()
-            energy_cols.append(
-                np.asarray(spec.harvester.energy(means, slot_seconds), dtype=float)
+            # Plain harvesters are values; a subclass may hold state
+            # its fields do not show, so only the instance itself is
+            # known to behave the same.
+            harvester = spec.harvester
+            column_key = (
+                key,
+                harvester if type(harvester) is PVHarvester else id(harvester),
             )
-            if isinstance(spec.controller, OracleController):
-                oracle_power_cols.append(
-                    np.asarray(spec.harvester.power(means), dtype=float)
-                )
+            column = columns.get(column_key)
+            if column is None:
+                column = columns[column_key] = len(sources)
+                sources.append((view, harvester))
+                starts_cols.append(view.flat_starts())
+                # Realized harvest per slot is a pure function of the
+                # trace, so it is precomputed through the column's own
+                # harvester -- custom PVHarvester subclasses overriding
+                # power() and/or energy() keep their behaviour.
+                energy_cols.append(np.asarray(
+                    harvester.energy(view.flat_means(), slot_seconds), dtype=float
+                ))
+            self._node_column[i] = column
         self.n_days = n_days
         self._starts = np.column_stack(starts_cols)
         self._harvest_energy = np.column_stack(energy_cols)
+        # Checked once here, so the stacked stores charge unchecked.
+        if (self._harvest_energy < 0).any():
+            raise ValueError("harvested energy must be non-negative")
         self._gains = PVHarvester.stack_gains([s.harvester for s in specs])
         self._oracle_indices = np.array(
             [
@@ -559,13 +617,20 @@ class FleetSimulator:
             ],
             dtype=np.intp,
         )
-        # True harvest power the oracle controllers plan with, one
-        # column per oracle node (in self._oracle_indices order).
-        self._oracle_power = (
-            np.column_stack(oracle_power_cols)
-            if oracle_power_cols
-            else np.empty((self._starts.shape[0], 0))
+        # True harvest power the oracle controllers plan with: one
+        # column per (trace, harvester) column an oracle node uses, and
+        # each oracle node's column in it (self._oracle_indices order).
+        oracle_columns: Dict[int, int] = {}
+        for i in self._oracle_indices:
+            oracle_columns.setdefault(int(self._node_column[i]), len(oracle_columns))
+        self._oracle_column = np.array(
+            [oracle_columns[int(self._node_column[i])] for i in self._oracle_indices],
+            dtype=np.intp,
         )
+        self._oracle_power = np.empty((self._starts.shape[0], len(oracle_columns)))
+        for column, j in oracle_columns.items():
+            view, harvester = sources[column]
+            self._oracle_power[:, j] = harvester.power(view.flat_means())
         # Nodes whose harvester overrides the linear power() cannot use
         # the gains fast path for converting *predictions* to power.
         self._custom_harvester_nodes = [
@@ -673,6 +738,12 @@ class FleetSimulator:
                 by_type.setdefault(type(store), []).append((i, store))
             else:
                 scalar_members.append((i, copy.deepcopy(store)))
+        if len(by_type) == 2:
+            # A supercapacitor array also models plain batteries, so a
+            # mixed fleet steps one store column instead of two.
+            by_type = {Supercapacitor: sorted(
+                by_type[Battery] + by_type[Supercapacitor], key=lambda m: m[0]
+            )}
         columns = []
         for cls, members in by_type.items():
             indices = [i for i, _ in members]
@@ -772,11 +843,17 @@ class FleetSimulator:
         duty = np.empty(n_nodes)
         wasted_now = np.empty(n_nodes)
         starts, harvest_energy = self._starts, self._harvest_energy
-        oracle_power = self._oracle_power
+        node_column = self._node_column
+        oracle_power, oracle_column = self._oracle_power, self._oracle_column
         custom_harvesters = self._custom_harvester_nodes
+        learning_cols = [column for column in controller_cols if column.learns]
+        # The state of charge at a slot boundary: read once up front,
+        # then after each slot's leak (nothing moves it in between).
+        for column in storage_cols:
+            soc_now[column.sel] = column.state_of_charge
 
         for t in range(total):
-            values = starts[t]
+            values = starts[t].take(node_column)
             for column in predictor_cols:
                 predictions[column.sel] = column.observe(values[column.sel])
 
@@ -788,17 +865,15 @@ class FleetSimulator:
                     max(0.0, float(predictions[i]))
                 )
             if any_oracle:
-                predicted_power[oracle_indices] = oracle_power[t]
+                predicted_power[oracle_indices] = oracle_power[t].take(oracle_column)
 
-            for column in storage_cols:
-                soc_now[column.sel] = column.state_of_charge
             for column in controller_cols:
                 duty[column.sel] = column.decide(
                     predicted_power[column.sel], soc_now[column.sel]
                 )
 
             # The slot plays out with the *true* mean power.
-            incoming = harvest_energy[t]
+            incoming = harvest_energy[t].take(node_column)
             for column in storage_cols:
                 incoming_here = incoming[column.sel]
                 stored = column.charge(incoming_here)
@@ -822,9 +897,10 @@ class FleetSimulator:
                 t, duty, achieved, soc_now, incoming, supplied,
                 wasted_now, shortfall_now,
             )
-            harvest_watts = incoming / slot_seconds
-            for column in controller_cols:
-                column.feedback(harvest_watts[column.sel])
+            if learning_cols:
+                harvest_watts = incoming / slot_seconds
+                for column in learning_cols:
+                    column.feedback(harvest_watts[column.sel])
 
 
 class _RecordSink:

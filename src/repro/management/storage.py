@@ -16,8 +16,9 @@ Every parameter and every method argument may be a scalar *or* a
 independent stores stepped in lock-step, which is how the fleet
 simulator (:mod:`repro.management.fleet`) vectorizes a whole fleet's
 storage.  :meth:`Battery.stack` builds such an instance from ``B``
-scalar-configured ones.  All arithmetic is elementwise, so the array
-path is bit-identical to ``B`` scalar stores.
+scalar-configured ones, and :meth:`Supercapacitor.stack` from a mix of
+supercapacitors and plain batteries.  All arithmetic is elementwise,
+so the array path is bit-identical to ``B`` scalar stores.
 
 Invariant: the stored energy never leaves ``[0, capacity]``; property
 tests in ``tests/management/test_storage.py`` enforce it under random
@@ -128,8 +129,12 @@ class Battery:
 
     def charge(self, joules):
         """Store harvested energy; returns the amount actually stored."""
-        if np.any(np.asarray(joules) < 0):
+        if (np.asarray(joules) < 0).any():
             raise ValueError("charge amount must be non-negative")
+        return self._charge(joules)
+
+    def _charge(self, joules):
+        """:meth:`charge` unchecked: the fleet checks its harvest once per run."""
         incoming = joules * self.charge_efficiency
         room = self.capacity_joules - self._stored
         stored = np.minimum(incoming, room)
@@ -142,8 +147,12 @@ class Battery:
         The store loses ``supplied / discharge_efficiency``; if less
         energy remains than requested, everything left is supplied.
         """
-        if np.any(np.asarray(joules) < 0):
+        if (np.asarray(joules) < 0).any():
             raise ValueError("discharge amount must be non-negative")
+        return self._discharge(joules)
+
+    def _discharge(self, joules):
+        """:meth:`discharge` unchecked: fleet requests are non-negative by construction."""
         drawn_from_store = joules / self.discharge_efficiency
         covered = drawn_from_store <= self._stored
         supplied = np.where(covered, joules, self._stored * self.discharge_efficiency)
@@ -166,7 +175,8 @@ class Supercapacitor(Battery):
     """Supercapacitor: higher round-trip efficiency, SoC-dependent leakage.
 
     Supercap self-discharge grows with the stored voltage; modelled as a
-    leakage power proportional to the state of charge.
+    leakage power proportional to the state of charge, on top of the
+    constant ``leakage_watts`` (zero as constructed).
     """
 
     def __init__(
@@ -189,11 +199,18 @@ class Supercapacitor(Battery):
         self.leakage_watts_full = leakage_watts_full
 
     @classmethod
-    def stack(cls, stores: Sequence["Supercapacitor"]) -> "Supercapacitor":
+    def stack(cls, stores: Sequence[Battery]) -> "Supercapacitor":
+        """One array store for ``len(stores)`` supercapacitors and batteries.
+
+        A plain :class:`Battery` stacks in with no SoC-dependent leakage
+        and its own constant ``leakage_watts`` (a supercapacitor's is
+        zero), so :meth:`leak` applies each store's law bit for bit and
+        a mixed fleet steps one store array instead of two.
+        """
         if not stores:
             raise ValueError("stack requires at least one store")
         for store in stores:
-            if type(store) is not cls:
+            if type(store) not in (Battery, cls):
                 raise TypeError(
                     f"cannot stack {type(store).__name__} as {cls.__name__}"
                 )
@@ -206,17 +223,21 @@ class Supercapacitor(Battery):
                 [s.discharge_efficiency for s in stores], dtype=float
             ),
             leakage_watts_full=np.array(
-                [s.leakage_watts_full for s in stores], dtype=float
+                [getattr(s, "leakage_watts_full", 0.0) for s in stores], dtype=float
             ),
         )
+        stacked.leakage_watts = np.array([s.leakage_watts for s in stores], dtype=float)
         stacked._stored = np.array([s._stored for s in stores], dtype=float)
         return stacked
 
     def leak(self, seconds: float):
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
+        # Exact for both laws: 0 + x == x and x + 0 * soc == x.
         loss = np.minimum(
-            self._stored, self.leakage_watts_full * self.state_of_charge * seconds
+            self._stored,
+            (self.leakage_watts + self.leakage_watts_full * self.state_of_charge)
+            * seconds,
         )
         self._stored = self._stored - loss
         return loss

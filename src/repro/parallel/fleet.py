@@ -10,22 +10,36 @@ shared executor:
 * A :class:`FleetPlan` is the *whole fleet as a value*: axis lists
   (sites / predictors / controllers / capacities / scenarios) plus
   primitive hardware parameters.  It is a few hundred bytes however
-  many nodes it describes -- workers rebuild their own block's specs
+  many nodes it describes -- workers rebuild their own nodes' specs
   from the plan via ``build_fleet_specs(..., node_range=...)`` (the
   mixed-radix node identity is global, so block boundaries never change
   which node gets which axes).
-* Each block runs :meth:`~repro.management.fleet.FleetSimulator.run_aggregate`,
-  producing a structure-of-arrays
-  :class:`~repro.management.fleet.FleetAggregate` of ``O(block)``
+* **Blocks are the checkpoint unit; small blocks share passes.**  The
+  slot loop costs per step, not per node, so :func:`group_blocks`
+  packs contiguous missing blocks into one lock-step pass while the
+  pass stays within :data:`MAX_PASS_NODES` nodes.  Packing therefore
+  needs ``block_size <= MAX_PASS_NODES // 2``: perfbench's 256-node
+  blocks all pack (16 blocks, 4 passes), but a block of more than 512
+  nodes -- the default 4096, the sharded and 1M-node benchmarks -- is
+  its own pass, so there the block size still is the lock-step width.
+  A pool still gets at least ``min(jobs, missing)`` passes.  Each pass
+  is one :meth:`~repro.management.fleet.FleetSimulator.run_aggregate`
+  over its nodes, producing a structure-of-arrays
+  :class:`~repro.management.fleet.FleetAggregate` of ``O(pass)``
   memory whatever the horizon (``dtype="float32"`` halves it again for
-  storage/IPC).  Per-node results are invariant to the block
-  partitioning (bitwise -- every kernel is elementwise across nodes),
-  so block size is purely a memory/scheduling knob.
+  storage/IPC).  Per-node results are invariant to how the fleet is
+  partitioned (bitwise -- every kernel is elementwise across nodes),
+  so neither the block size nor the pass grouping changes a number.
 * With a :class:`~repro.parallel.cache.ResultCache`, every finished
   block is **checkpointed** under a digest of (plan, block range,
-  dtype, dataset identities, code salt): an interrupted fleet year
-  resumes from its completed blocks, and re-running a grown fleet
-  recomputes only the new tail.
+  dtype, dataset identities, code salt), through
+  :func:`~repro.parallel.executor.execute_passes`; a pass of several
+  blocks is first stored whole under a key naming its blocks, and that
+  entry stays beside the block entries.  An interrupted fleet year
+  resumes from its completed blocks, losing at most the passes in
+  flight (up to ``MAX_PASS_NODES`` nodes each when blocks pack, one
+  block each otherwise), and re-running a grown fleet recomputes only
+  the new tail.
 
 ``run_fleet_blocks(plan)`` is therefore the resumable, multicore form
 of ``FleetSimulator(build_fleet_specs(...)).run_aggregate()`` -- same
@@ -35,27 +49,43 @@ numbers, flat memory, near-linear in cores and shards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.management.fleet import FleetAggregate
 from repro.solar.scenarios import DEFAULT_SCENARIO_SEED
 from repro.parallel.cache import ResultCache, dataset_identity
-from repro.parallel.executor import ExecutionStats, execute_units
+from repro.parallel.executor import ExecutionStats, execute_passes
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
+    "MAX_PASS_NODES",
     "FleetPlan",
+    "group_blocks",
     "plan_blocks",
     "run_fleet_blocks",
 ]
 
-#: Default nodes per block: large enough that per-block spec building
-#: and dispatch are noise next to the slot loop, small enough that a
-#: block's full simulator state (SlotView columns + records) stays in
+#: Default nodes per block: the checkpoint unit (a resumed run skips
+#: whole blocks) and, being wider than ``MAX_PASS_NODES // 2``, also
+#: the lock-step width -- default blocks never share a pass.  Large
+#: enough that per-block spec building and dispatch are noise next to
+#: the slot loop, small enough that a block's simulator state stays in
 #: the tens of megabytes.
 DEFAULT_BLOCK_SIZE = 4096
+
+#: Widest pass that packs several blocks, in nodes.  Blocks share a
+#: pass only while it stays within this width, so only blocks of at
+#: most half of it ever do; a larger block is its own pass, as wide as
+#: the block.  Wider passes spread the slot loop's fixed per-step cost
+#: over more nodes, but the kernels' state grows with width (WCMA holds
+#: about 5 KB per node).  On perfbench's fleet plan (4096 nodes in
+#: 256-node blocks, one CPU of a 2-core Xeon) caps of 256 / 1024 /
+#: 2048 / 4096 nodes took 3.5 / 1.9 / 1.6 / 1.2 s of CPU at 46 / 51 /
+#: 56 / 66 MB peak RSS: 1024 is the widest at which that plan stays
+#: under the 53.7 MB its 256-node passes reached over per-node inputs.
+MAX_PASS_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -126,13 +156,43 @@ def plan_blocks(n_nodes: int, block_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _run_block(plan: FleetPlan, start: int, stop: int, dtype: str) -> FleetAggregate:
-    """Simulate one node block (module-level so pools can pickle it).
+def group_blocks(
+    blocks: Sequence[Tuple[int, int]], missing: Sequence[int], jobs: Optional[int] = None
+) -> List[List[int]]:
+    """Group the missing blocks' indices into lock-step passes.
 
-    The worker rebuilds exactly this block's specs from the plan --
-    traces come from the worker's own dataset memo, so consecutive
-    blocks of one worker share them -- and returns the ``O(block)``
-    aggregate, cast to ``dtype`` for transport.
+    Contiguous missing blocks pack greedily into passes of at most
+    :data:`MAX_PASS_NODES` nodes; a block wider than that is a pass of
+    its own, and a cached block between two missing ones ends a pass.
+    The pass with the most blocks is then halved until there are at
+    least ``min(jobs, len(missing))`` passes, so no worker idles.
+    """
+    passes: List[List[int]] = []
+    width = 0
+    for i in missing:
+        size = blocks[i][1] - blocks[i][0]
+        if passes and passes[-1][-1] == i - 1 and width + size <= MAX_PASS_NODES:
+            passes[-1].append(i)
+            width += size
+        else:
+            passes.append([i])
+            width = size
+    while len(passes) < min(jobs or 1, len(missing)):
+        widest = max(range(len(passes)), key=lambda j: len(passes[j]))
+        members = passes[widest]
+        half = len(members) // 2
+        passes[widest:widest + 1] = [members[:half], members[half:]]
+    return passes
+
+
+def _run_block(plan: FleetPlan, start: int, stop: int, dtype: str) -> FleetAggregate:
+    """Simulate nodes ``[start, stop)`` in one lock-step pass.
+
+    Module-level so pools can pickle it.  The worker rebuilds exactly
+    these nodes' specs from the plan -- traces come from the worker's
+    own dataset memo, so consecutive passes of one worker share them --
+    and returns the ``O(nodes)`` aggregate, cast to ``dtype`` for
+    transport.
     """
     from repro.experiments.fleet import build_fleet_specs
     from repro.management.fleet import FleetSimulator
@@ -144,17 +204,15 @@ def _run_block(plan: FleetPlan, start: int, stop: int, dtype: str) -> FleetAggre
     return aggregate
 
 
-def _block_key(cache: ResultCache, plan: FleetPlan, start: int, stop: int,
+def _block_key(cache: ResultCache, plan: FleetPlan, blocks: Sequence[Tuple[int, int]],
                dtype: str, identities: dict) -> str:
-    return cache.key(
-        {
-            "kind": "fleet-block",
-            "plan": plan,
-            "block": [start, stop],
-            "dtype": dtype,
-            "datasets": identities,
-        }
-    )
+    """Key of one block's aggregate, or of a pass naming its blocks."""
+    spec = {"plan": plan, "dtype": dtype, "datasets": identities}
+    if len(blocks) == 1:
+        spec.update(kind="fleet-block", block=list(blocks[0]))
+    else:
+        spec.update(kind="fleet-pass", blocks=[list(block) for block in blocks])
+    return cache.key(spec)
 
 
 def run_fleet_blocks(
@@ -173,14 +231,19 @@ def run_fleet_blocks(
     plan:
         The fleet (see :class:`FleetPlan`).
     block_size:
-        Nodes per block; the memory/checkpoint granularity.
+        Nodes per block: the checkpoint unit.  Uncached blocks of at
+        most ``MAX_PASS_NODES // 2`` nodes share passes of up to
+        :data:`MAX_PASS_NODES` nodes (see :func:`group_blocks`); a
+        larger block is its own pass, so its size is also the lock-step
+        width (and sets the pass's memory).
     jobs / backend / chunk_size:
-        Executor policy (``None``/1 jobs = inline).  Blocks are
+        Executor policy (``None``/1 jobs = inline).  Nodes are
         independent, so sequential and parallel aggregates are
         byte-identical.
     cache:
-        Optional result cache; completed blocks checkpoint into it and
-        a re-run resumes from them.
+        Optional result cache; completed passes checkpoint into it
+        block by block (a multi-block pass also keeps one entry of its
+        own) and a re-run resumes from them.  The stats count blocks.
     dtype:
         ``"float64"`` (default) or ``"float32"`` for half-width block
         metrics.
@@ -188,20 +251,25 @@ def run_fleet_blocks(
     if dtype not in ("float64", "float32"):
         raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
     blocks = plan_blocks(plan.n_nodes, block_size)
-    units = [(plan, start, stop, dtype) for start, stop in blocks]
-
+    identities = {site: dataset_identity(site) for site in plan.site_list()}
     keys = None
+    if cache is not None:
+        keys = [_block_key(cache, plan, [block], dtype, identities) for block in blocks]
+
+    def passes(missing):
+        return [
+            (members, (plan, blocks[members[0]][0], blocks[members[-1]][1], dtype))
+            for members in group_blocks(blocks, missing, jobs)
+        ]
+
+    def pass_key(members):
+        return _block_key(cache, plan, [blocks[i] for i in members], dtype, identities)
+
+    def split(aggregate, members):
+        return aggregate.split([blocks[i][1] - blocks[i][0] for i in members])
+
     initializer = None
     initargs = ()
-    identities = {
-        site: dataset_identity(site)
-        for site in plan.site_list()
-    }
-    if cache is not None:
-        keys = [
-            _block_key(cache, plan, start, stop, dtype, identities)
-            for start, stop in blocks
-        ]
     if backend != "thread":
         from repro.experiments.common import warm_worker
         from repro.solar.ingest.sites import measured_specs_for
@@ -209,15 +277,18 @@ def run_fleet_blocks(
         initializer = warm_worker
         initargs = (measured_specs_for(plan.site_list()),)
 
-    results, stats = execute_units(
+    results, stats = execute_passes(
         _run_block,
-        units,
+        len(blocks),
+        passes,
+        split=split,
+        cache=cache,
+        keys=keys,
+        pass_key=pass_key,
         jobs=jobs,
         backend=backend,
         chunk_size=chunk_size,
         initializer=initializer,
         initargs=initargs,
-        cache=cache,
-        keys=keys,
     )
     return FleetAggregate.concat(results), stats

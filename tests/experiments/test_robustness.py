@@ -275,8 +275,8 @@ class TestMatrixCacheResume:
         stats = []
         first = run(cache=cache, stats=stats, **kwargs)
         # 2 sites x (clean + dropout) wcma cells + the ewma and
-        # persistence slabs.
-        assert stats[0].cache_misses == 6 and stats[0].cache_hits == 0
+        # persistence results of each cell.
+        assert stats[0].cache_misses == 12 and stats[0].cache_hits == 0
         second = run(cache=cache, stats=stats, **kwargs)
         # The 4 wcma cells + 2 x 4 stacked cells, each cached on its own;
         # no slab is left to run.
@@ -297,9 +297,9 @@ class TestMatrixCacheResume:
             scenarios=("dropout", "jitter"), cache=cache, stats=stats, **common
         )
         # clean + dropout cells (2 sites x 2) hit, for wcma and for both
-        # stacked predictors; the jitter cells miss: 2 wcma cells and one
-        # slab per stacked predictor over its 2 jitter cells.
-        assert stats[0].cache_hits == 12 and stats[0].cache_misses == 4
+        # stacked predictors; the jitter cells miss: 2 wcma cells and the
+        # 2 jitter cells of each stacked predictor (one slab each).
+        assert stats[0].cache_hits == 12 and stats[0].cache_misses == 6
         fresh = run(scenarios=("dropout", "jitter"), **common)
         assert full.rows == fresh.rows
         assert all(

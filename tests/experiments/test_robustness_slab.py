@@ -116,8 +116,9 @@ class TestSlabCacheKeys:
         stats = []
         first = self._run(cache, FAST, stats)
         again = self._run(cache, FAST, stats)
-        # One slab runs; its 6 cells are then cached one by one.
-        assert stats[0].cache_misses == 1 and stats[0].cache_hits == 0
+        # One slab pass computes the 6 cells, each counted as a unit
+        # and then cached one by one.
+        assert stats[0].cache_misses == 6 and stats[0].cache_hits == 0
         assert stats[1].cache_hits == 6 and stats[1].cache_misses == 0
         assert again.rows == first.rows
 
@@ -129,7 +130,7 @@ class TestSlabCacheKeys:
         self._run(cache, FAST, stats)
         flipped = dataclasses.replace(FAST, ridge_lambda=0.5)
         self._run(cache, flipped, stats)
-        assert stats[1].cache_misses == 1 and stats[1].cache_hits == 0
+        assert stats[1].cache_misses == 6 and stats[1].cache_hits == 0
         # The original config still resolves to its own cached cells.
         self._run(cache, FAST, stats)
         assert stats[2].cache_hits == 6 and stats[2].cache_misses == 0
@@ -149,8 +150,8 @@ class TestSlabCacheKeys:
             scenarios=SCENARIOS, cache=cache, stats=stats, **kwargs
         )
         # 2 predictors x 2 sites x (clean + dropout) cached; one slab per
-        # predictor over the 2 jitter cells.
-        assert stats[0].cache_hits == 8 and stats[0].cache_misses == 2
+        # predictor over its 2 jitter cells.
+        assert stats[0].cache_hits == 8 and stats[0].cache_misses == 4
         assert wider.rows == robustness.run(scenarios=SCENARIOS, **kwargs).rows
 
     def test_finished_slab_survives_interruption(self, tmp_path, monkeypatch):
@@ -171,7 +172,8 @@ class TestSlabCacheKeys:
         monkeypatch.setattr(ResultCache, "put", real_put)
         stats = []
         resumed = self._run(cache, FAST, stats)
-        assert stats[0].cache_hits == 1 and stats[0].cache_misses == 0
+        # The slab's entry serves all 6 of its cells.
+        assert stats[0].cache_hits == 6 and stats[0].cache_misses == 0
         assert resumed.rows == self._run(None, FAST, []).rows
 
     def test_feature_schema_version_in_key(self, tmp_path, monkeypatch):
@@ -187,7 +189,27 @@ class TestSlabCacheKeys:
             features.FEATURE_SCHEMA_VERSION + 1,
         )
         self._run(cache, FAST, stats)
-        assert stats[1].cache_misses == 1 and stats[1].cache_hits == 0
+        assert stats[1].cache_misses == 6 and stats[1].cache_hits == 0
+
+
+    def test_identical_learned_runs_write_identical_entries(self, tmp_path):
+        """A cached value is a function of its key: the slab entries
+        hold MAPEs only, never the kernels' wall-clock stage timings."""
+        entries = []
+        for run in ("a", "b"):
+            root = tmp_path / run
+            robustness.run(
+                n_days=DAYS, sites=SITES, scenarios=SCENARIOS,
+                predictors=("ridge", "gbm"), seed=SEED, tune_wcma=False,
+                training=FAST, cache=ResultCache(root, salt="s"),
+            )
+            entries.append({
+                path.relative_to(root): path.read_bytes()
+                for path in root.glob("??/*.pkl")
+            })
+        # Per predictor: one 6-cell slab entry and its 6 one-cell entries.
+        assert len(entries[0]) == 2 * (1 + 6)
+        assert entries[0] == entries[1]
 
 
 class TestSlabStats:
@@ -208,6 +230,29 @@ class TestSlabStats:
         assert stages["refit"] > 0.0 and stages["features"] > 0.0
         payload = stats[0].as_dict()
         assert set(payload["stage_seconds"]) == set(stages)
+
+    def test_cached_slab_reports_no_stage_seconds(self, tmp_path, monkeypatch):
+        """A resume served from a slab's entry ran no kernel, so it
+        reports no timings (an earlier run's are not replayed)."""
+        cache = ResultCache(tmp_path / "c", salt="s")
+        kwargs = dict(
+            n_days=DAYS, sites=SITES, scenarios=SCENARIOS, predictors=("gbm",),
+            seed=SEED, tune_wcma=False, training=FAST, cache=cache,
+        )
+        real_put = ResultCache.put
+
+        def put(self, key, value):
+            if len(value["mape"]) == 1:
+                raise KeyboardInterrupt  # the split of the finished slab
+            real_put(self, key, value)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        with pytest.raises(KeyboardInterrupt):
+            robustness.run(**kwargs)
+        monkeypatch.setattr(ResultCache, "put", real_put)
+        stats = []
+        robustness.run(stats=stats, **kwargs)
+        assert stats[0].cache_hits == 6 and stats[0].stage_seconds is None
 
     def test_no_learned_predictors_no_stage_seconds(self, tmp_path):
         stats = []

@@ -7,6 +7,7 @@ from repro.core.base import FleetDayHistory
 from repro.core.registry import make_vector_predictor, supports_vector
 from repro.management.consumer import DutyCycledLoad
 from repro.management.controller import (
+    FixedDutyController,
     KansalController,
     MinimumVarianceController,
 )
@@ -77,6 +78,38 @@ class TestVectorisedModels:
     def test_stack_rejects_mixed_classes(self):
         with pytest.raises(TypeError):
             Battery.stack([Battery(), Supercapacitor()])
+
+    def test_supercapacitor_stack_takes_batteries_bit_for_bit(self):
+        """One supercapacitor array steps a mixed fleet's stores, each
+        under its own leakage law, exactly as the scalar stores do."""
+        scalars = [
+            Supercapacitor(capacity_joules=250.0, initial_soc=0.5),
+            Battery(capacity_joules=9000.0, initial_soc=0.3, leakage_watts=2e-3),
+            Supercapacitor(capacity_joules=400.0, initial_soc=0.9),
+            Battery(capacity_joules=50.0, initial_soc=0.1),
+        ]
+        stacked = Supercapacitor.stack(scalars)
+        for step in range(30):
+            joules = np.array([3.0, 40.0, 0.5, 7.0]) * (step % 4)
+            got = [stacked.charge(joules), stacked.discharge(joules[::-1])]
+            stacked.leak(1800.0)
+            want = [
+                [s.charge(float(j)) for s, j in zip(scalars, joules)],
+                [s.discharge(float(j)) for s, j in zip(scalars, joules[::-1])],
+            ]
+            for store in scalars:
+                store.leak(1800.0)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                stacked.stored_joules, [s.stored_joules for s in scalars]
+            )
+
+        class LeakFree(Battery):
+            def leak(self, seconds):
+                return 0.0
+
+        with pytest.raises(TypeError):
+            Supercapacitor.stack([Battery(), LeakFree()])
 
     def test_load_stack_elementwise(self):
         loads = [
@@ -260,6 +293,21 @@ class TestFleetSimulator:
         result = FleetSimulator([spec, _spec(short_trace)], N_SLOTS).run()
         assert np.isfinite(result.duty_achieved).all()
 
+    def test_learning_controller_hears_every_slot(self, short_trace):
+        """Only controllers that ignore ``feedback`` skip it: one that
+        overrides it hears each slot's realized harvest power."""
+        heard = []
+
+        class Listening(FixedDutyController):
+            def feedback(self, harvest_watts):
+                heard.append(harvest_watts)
+
+        spec = _spec(short_trace)
+        spec.controller = Listening(0.2)
+        result = FleetSimulator([spec, _spec(short_trace)], N_SLOTS).run()
+        slot_seconds = 24.0 / N_SLOTS * 3600.0
+        np.testing.assert_array_equal(heard, result.harvested_joules[:, 0] / slot_seconds)
+
     def test_specs_not_dirtied_between_runs(self, short_trace):
         """Two runs of the same simulator give identical results."""
         simulator = FleetSimulator([_spec(short_trace)], N_SLOTS)
@@ -338,6 +386,37 @@ class TestFleetSimulator:
         np.testing.assert_allclose(
             result.harvested_joules[:, 0], expected, atol=1e-12
         )
+
+    def test_negative_harvest_is_refused_up_front(self, short_trace):
+        """The stacked stores charge unchecked, so the simulator checks
+        its harvest table once, before the first slot."""
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class LeakyConverterHarvester(PVHarvester):
+            def energy(self, irradiance_wm2, seconds):
+                return super().energy(irradiance_wm2, seconds) - 1.0
+
+        spec = _spec(short_trace)
+        spec.harvester = LeakyConverterHarvester(area_m2=25e-4)
+        with pytest.raises(ValueError, match="harvested energy"):
+            FleetSimulator([spec], N_SLOTS)
+
+    def test_inputs_are_kept_per_trace_not_per_node(self):
+        """4,096 nodes on one 30-day trace hold one input column, not
+        two float64 (slots x nodes) tables (~94 MB)."""
+        import tracemalloc
+
+        trace = build_dataset("HSU", n_days=30)
+        specs = [_spec(trace) for _ in range(4096)]
+        tracemalloc.start()
+        try:
+            fleet = FleetSimulator(specs, N_SLOTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fleet.total_slots == 30 * N_SLOTS
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_vector_predictor_with_unhashable_kwargs(self, short_trace):
         """Factory kwargs holding lists must not break grouping."""

@@ -7,7 +7,9 @@ from repro.parallel.cache import ResultCache
 from repro.parallel.executor import (
     BACKENDS,
     ExecutionStats,
+    Timed,
     _auto_chunk_size,
+    execute_passes,
     execute_units,
     run_units,
 )
@@ -114,6 +116,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="cache keys"):
             execute_units(_square, UNITS, cache=cache, keys=["k"])
 
+    def test_on_result_is_for_uncached_calls(self, tmp_path):
+        cache = ResultCache(tmp_path, salt="s")
+        keys = [cache.key({"unit": i}) for i, in UNITS]
+        with pytest.raises(ValueError, match="uncached"):
+            execute_units(_square, UNITS, cache=cache, keys=keys, on_result=print)
+        seen = []
+        execute_units(_square, UNITS, on_result=lambda i, value: seen.append((i, value)))
+        assert seen == list(enumerate(EXPECTED))
+
     def test_auto_chunk_size(self):
         assert _auto_chunk_size(100, 4) == 7  # ceil(100 / 16)
         assert _auto_chunk_size(1, 8) == 1
@@ -172,6 +183,69 @@ class TestCacheIntegration:
             _square, UNITS, jobs=2, backend="thread", cache=cache, keys=keys
         )
         assert stats.cache_hits == len(UNITS)
+
+
+def _squares(lo, hi):
+    """One pass over units ``lo..hi-1``, timed as one stage."""
+    return Timed([i * i for i in range(lo, hi)], {"work": 1.0})
+
+
+def _pairs(missing):
+    """Group consecutive missing units two by two."""
+    groups = [missing[i:i + 2] for i in range(0, len(missing), 2)]
+    return [(members, (members[0], members[-1] + 1)) for members in groups]
+
+
+def _split(output, members):
+    return list(output)
+
+
+class TestPasses:
+    def _run(self, cache, fn=_squares, **policy):
+        keys = [cache.key({"unit": i}) for i in range(10)]
+
+        def pass_key(members):
+            return cache.key({"pass": list(members)})
+
+        return execute_passes(
+            fn, 10, _pairs, split=_split, cache=cache, keys=keys,
+            pass_key=pass_key, **policy,
+        )
+
+    def test_units_cached_one_by_one_and_counted_as_units(self, tmp_path):
+        cache = ResultCache(tmp_path / "c", salt="s")
+        values, stats = self._run(cache)
+        assert values == EXPECTED
+        assert (stats.n_units, stats.cache_hits, stats.cache_misses) == (10, 0, 10)
+        # 5 two-unit passes: each stored under its pass key, then split.
+        assert stats.n_chunks == 1 and cache.info()["entries"] == 10 + 5
+        # Only the value is cached; fresh passes report their timings.
+        assert stats.stage_seconds == {"work": 5.0}
+
+        def _fail(lo, hi):
+            raise AssertionError("a cached unit was recomputed")
+
+        again, stats = self._run(cache, fn=_fail)
+        assert again == EXPECTED
+        assert (stats.n_units, stats.cache_hits, stats.cache_misses) == (10, 10, 0)
+        assert stats.stage_seconds is None
+
+    def test_pass_entry_serves_its_units(self, tmp_path):
+        cache = ResultCache(tmp_path / "c", salt="s")
+        cache.put(cache.key({"pass": [0, 1]}), [0, 1])
+        values, stats = self._run(cache)
+        assert values == EXPECTED
+        assert stats.cache_hits == 2 and stats.cache_misses == 8
+
+    def test_thread_backend_matches_inline(self, tmp_path):
+        values, stats = self._run(
+            ResultCache(tmp_path / "c", salt="s"), jobs=2, backend="thread"
+        )
+        assert values == EXPECTED and stats.backend == "thread"
+
+    def test_passes_must_cover_the_missing_units(self):
+        with pytest.raises(ValueError, match="exactly once"):
+            execute_passes(_squares, 4, lambda missing: [([0, 1], (0, 2))], split=_split)
 
 
 class TestStats:

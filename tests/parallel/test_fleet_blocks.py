@@ -1,14 +1,19 @@
 """Tests for the sharded fleet engine (block partitioning + resume)."""
 
+from typing import List
+
 import numpy as np
 import pytest
 
 from repro.experiments.fleet import build_fleet_specs
 from repro.management.fleet import FleetAggregate, FleetSimulator
 from repro.parallel.cache import ResultCache
+import repro.parallel.fleet as fleet_mod
 from repro.parallel.fleet import (
     DEFAULT_BLOCK_SIZE,
+    MAX_PASS_NODES,
     FleetPlan,
+    group_blocks,
     plan_blocks,
     run_fleet_blocks,
 )
@@ -54,6 +59,43 @@ class TestPlanBlocks:
         assert DEFAULT_BLOCK_SIZE >= 256
 
 
+class TestGroupBlocks:
+    """Uncached blocks run in lock-step passes of up to MAX_PASS_NODES."""
+
+    def test_contiguous_blocks_pack_up_to_the_cap(self):
+        blocks = plan_blocks(4096, 256)
+        passes = group_blocks(blocks, list(range(16)))
+        assert passes == [list(range(i, i + 4)) for i in range(0, 16, 4)]
+        for members in passes:
+            assert blocks[members[-1]][1] - blocks[members[0]][0] <= MAX_PASS_NODES
+
+    def test_a_cached_block_splits_the_pass(self):
+        blocks = plan_blocks(2048, 256)
+        assert group_blocks(blocks, [0, 1, 3, 4]) == [[0, 1], [3, 4]]
+
+    def test_a_block_wider_than_the_cap_runs_alone(self):
+        wide = 100 + MAX_PASS_NODES + 1
+        blocks = [(0, 100), (100, wide), (wide, wide + 100)]
+        assert group_blocks(blocks, [0, 1, 2]) == [[0], [1], [2]]
+        assert group_blocks(plan_blocks(5000, 2048), [0, 1, 2]) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("jobs, expected", [
+        (None, 1), (1, 1), (2, 2), (3, 3), (4, 4), (8, 4),
+    ])
+    def test_at_least_min_jobs_missing_passes(self, jobs, expected):
+        blocks = plan_blocks(1024, 256)
+        passes = group_blocks(blocks, [0, 1, 2, 3], jobs)
+        assert len(passes) == expected
+        assert [i for members in passes for i in members] == [0, 1, 2, 3]
+
+    def test_jobs_split_packed_passes_in_order(self):
+        blocks = plan_blocks(4096, 256)
+        passes = group_blocks(blocks, list(range(16)), jobs=6)
+        assert len(passes) == 6
+        assert [i for members in passes for i in members] == list(range(16))
+        assert max(len(members) for members in passes) <= 4
+
+
 class TestFleetPlan:
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError, match="n_nodes"):
@@ -70,19 +112,56 @@ class TestFleetPlan:
         assert [s.name for s in flat] == [s.name for s in specs]
 
 
+def _trace_pass_widths(monkeypatch) -> List[int]:
+    """Record the node width of every simulator pass from now on."""
+    widths: List[int] = []
+    real_run = fleet_mod._run_block
+
+    def run(plan, start, stop, dtype):
+        widths.append(stop - start)
+        return real_run(plan, start, stop, dtype)
+
+    monkeypatch.setattr(fleet_mod, "_run_block", run)
+    return widths
+
+
 class TestShardedEqualsFull:
-    def test_blocks_concat_bitwise_equal_to_full(self):
+    """Per-node results do not depend on how the fleet is cut into passes."""
+
+    @pytest.fixture
+    def one_block_per_pass(self, monkeypatch):
+        monkeypatch.setattr(fleet_mod, "MAX_PASS_NODES", 1)
+        return _trace_pass_widths(monkeypatch)
+
+    def test_blocks_concat_bitwise_equal_to_full(self, one_block_per_pass):
         full = _full_aggregate(PLAN)
         sharded, stats = run_fleet_blocks(PLAN, block_size=4)
         assert stats.n_units == 4
+        assert one_block_per_pass == [4, 4, 4, 1]
         _assert_bitwise_equal(sharded, full)
 
-    def test_block_size_invariance(self):
+    def test_block_size_invariance(self, one_block_per_pass):
         a, _ = run_fleet_blocks(PLAN, block_size=3)
         b, _ = run_fleet_blocks(PLAN, block_size=7)
         c, _ = run_fleet_blocks(PLAN, block_size=PLAN.n_nodes)
+        assert one_block_per_pass == [3, 3, 3, 3, 1] + [7, 6] + [13]
         _assert_bitwise_equal(a, b)
         _assert_bitwise_equal(a, c)
+
+    @pytest.mark.parametrize("block_size, cap, widths", [
+        (1, 1, [1] * 13),
+        (2, 4, [4, 4, 4, 1]),
+        (3, 8, [6, 7]),
+        (4, 9, [8, 5]),
+        (4, MAX_PASS_NODES, [13]),
+    ])
+    def test_pass_grouping_invariance(self, monkeypatch, block_size, cap, widths):
+        monkeypatch.setattr(fleet_mod, "MAX_PASS_NODES", cap)
+        seen = _trace_pass_widths(monkeypatch)
+        sharded, stats = run_fleet_blocks(PLAN, block_size=block_size)
+        assert seen == widths
+        assert stats.n_units == len(plan_blocks(PLAN.n_nodes, block_size))
+        _assert_bitwise_equal(sharded, _full_aggregate(PLAN))
 
     def test_thread_parallel_bitwise_equal(self):
         seq, _ = run_fleet_blocks(PLAN, block_size=4)
@@ -149,6 +228,63 @@ class TestCheckpointResume:
         run_fleet_blocks(PLAN, block_size=4, cache=cache)
         _, stats = run_fleet_blocks(PLAN, block_size=7, cache=cache)
         assert stats.cache_hits == 0
+
+    def test_pass_key_names_its_blocks(self, tmp_path):
+        """Four 4-node blocks run as one pass whose entry covers nodes
+        0..13; a single 13-node block must not resolve to it."""
+        cache = ResultCache(tmp_path / "c", salt="s")
+        run_fleet_blocks(PLAN, block_size=4, cache=cache)
+        assert cache.info()["entries"] == 4 + 1  # the blocks and their pass
+        _, stats = run_fleet_blocks(PLAN, block_size=PLAN.n_nodes, cache=cache)
+        assert stats.cache_hits == 0
+
+    def test_interrupted_run_resumes_from_finished_passes(self, tmp_path, monkeypatch):
+        """A kill in the second pass loses that pass only: the rerun
+        hits exactly the first pass's blocks."""
+        monkeypatch.setattr(fleet_mod, "MAX_PASS_NODES", 8)
+        assert group_blocks(plan_blocks(PLAN.n_nodes, 4), [0, 1, 2, 3]) == [[0, 1], [2, 3]]
+        cache = ResultCache(tmp_path / "c", salt="s")
+        real_run = fleet_mod._run_block
+
+        def run_until_second_pass(plan, start, stop, dtype):
+            if start > 0:
+                raise KeyboardInterrupt
+            return real_run(plan, start, stop, dtype)
+
+        monkeypatch.setattr(fleet_mod, "_run_block", run_until_second_pass)
+        with pytest.raises(KeyboardInterrupt):
+            run_fleet_blocks(PLAN, block_size=4, cache=cache)
+        monkeypatch.setattr(fleet_mod, "_run_block", real_run)
+        resumed, stats = run_fleet_blocks(PLAN, block_size=4, cache=cache)
+        assert stats.cache_hits == 2 and stats.cache_misses == 2
+        uncached, _ = run_fleet_blocks(PLAN, block_size=4)
+        _assert_bitwise_equal(resumed, uncached)
+
+    def test_interrupted_split_resumes_from_the_pass_entry(self, tmp_path, monkeypatch):
+        """The pass entry is stored before its split into blocks, so a
+        kill during the split resumes without simulating again."""
+        cache = ResultCache(tmp_path / "c", salt="s")
+        real_put = ResultCache.put
+
+        def put(self, key, value):
+            if value.n_nodes < PLAN.n_nodes:
+                raise KeyboardInterrupt  # the first block of the split
+            real_put(self, key, value)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        with pytest.raises(KeyboardInterrupt):
+            run_fleet_blocks(PLAN, block_size=4, cache=cache)
+        monkeypatch.setattr(ResultCache, "put", real_put)
+
+        def simulate(*args):
+            raise AssertionError("the finished pass was simulated again")
+
+        monkeypatch.setattr(fleet_mod, "_run_block", simulate)
+        resumed, stats = run_fleet_blocks(PLAN, block_size=4, cache=cache)
+        assert stats.cache_hits == 4 and stats.cache_misses == 0
+        monkeypatch.undo()
+        _assert_bitwise_equal(resumed, run_fleet_blocks(PLAN, block_size=4)[0])
+        assert cache.info()["entries"] == 4 + 1
 
     def test_dtype_is_in_the_key(self, tmp_path):
         cache = ResultCache(tmp_path / "c", salt="s")

@@ -460,8 +460,9 @@ class TestCacheCommand:
         ]
         assert main(argv) == 0
         first = capsys.readouterr()
-        # 2 wcma cells (clean + dropout) + the ewma and persistence slabs.
-        assert "cache-misses=4" in first.err
+        # 2 wcma cells (clean + dropout) + the ewma and persistence
+        # results of each cell.
+        assert "cache-misses=6" in first.err
         assert main(argv) == 0
         second = capsys.readouterr()
         # The 2 wcma cells + the 2 x 2 stacked cells, each cached.
