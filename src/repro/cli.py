@@ -35,7 +35,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.fleet import CONTROLLER_KINDS
-from repro.experiments.runner import EXPERIMENTS, render_report, run_all
+from repro.experiments.runner import EXPERIMENTS, render_report, run_all, trace_needs
 from repro.solar.datasets import available_datasets, build_dataset
 from repro.solar.io import write_csv
 from repro.solar.scenarios import DEFAULT_SCENARIO_SEED, available_scenarios
@@ -531,19 +531,20 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _validate_names(args) -> None:
-    """Reject unknown site/predictor names and bad (site, N) pairs.
+    """Reject unknown site/predictor names, bad (site, N) pairs and short traces.
 
     Scenario and experiment names are already constrained by argparse
     ``choices`` and the size options by :func:`_positive_int`; sites,
-    registry predictor names and N-vs-site divisibility are free-form,
-    so they are checked here, eagerly, against the same validators the
-    library uses -- for ``serve``, by constructing the service, which
-    also refuses predictors it cannot checkpoint.  (An ``--n`` paired
-    with a ``--trace`` CSV can only be checked after the file is read,
-    so that path stays a library error.)
+    registry predictor names, N-vs-site divisibility and a ``--days``
+    shorter than the selected experiments can score are checked here,
+    eagerly, against the same validators the library uses -- for
+    ``serve``, by constructing the service, which also refuses
+    predictors it cannot checkpoint.  (An ``--n`` paired with a
+    ``--trace`` CSV can only be checked after the file is read, so that
+    path stays a library error.)
     """
     from repro.core.registry import available_predictors
-    from repro.experiments.common import sites_for
+    from repro.experiments.common import check_n_days, sites_for
     from repro.solar.datasets import samples_per_day_for
 
     sites = getattr(args, "sites", None)
@@ -567,17 +568,28 @@ def _validate_names(args) -> None:
             raise ValueError(
                 f"unknown predictors: {unknown}; available: {known}"
             )
-    if getattr(args, "command", None) == "serve":
+    command = getattr(args, "command", None)
+    if command == "serve":
         from repro.serve import ForecastService
 
         ForecastService(n_slots=args.n, predictor=args.predictor)
+    if command == "run-all":
+        check_n_days(args.days, trace_needs(EXPERIMENTS))
+    elif command == "run":
+        check_n_days(args.days, trace_needs(args.experiments))
+    elif command == "plot":
+        check_n_days(args.days, trace_needs((args.figure,)))
+    elif command == "robustness":
+        from repro.experiments.robustness import MIN_N_DAYS
+
+        check_n_days(args.days, {"the robustness matrix": MIN_N_DAYS})
     n_slots = getattr(args, "n", None)
     if n_slots is not None:
         if site is not None:
             check_sites = (site.upper(),)
         elif sites:
             check_sites = tuple(s.upper() for s in sites)
-        elif getattr(args, "command", None) == "robustness":
+        elif command == "robustness":
             if getattr(args, "trace", None) is not None:
                 # A --trace run without --sites contains only the
                 # measured site, whose N check happens after ingestion
@@ -759,6 +771,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "robustness":
+        from repro.experiments.common import check_n_days
+        from repro.experiments.robustness import MIN_N_DAYS
         from repro.experiments.robustness import run as run_robustness
         from repro.experiments.robustness import run_fleet_robustness
         from repro.metrics import format_robustness_summary, summarise_robustness
@@ -783,6 +797,10 @@ def _dispatch(args) -> int:
                         f"({measured.samples_per_day}) of trace "
                         f"{measured.name}"
                     )
+                check_n_days(
+                    min(days, measured.n_days),
+                    {"the robustness matrix": MIN_N_DAYS},
+                )
             except (OSError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2

@@ -1,13 +1,14 @@
 """Shared infrastructure for the experiment modules.
 
 * :class:`ExperimentResult` -- rows + metadata + text rendering.
-* :func:`trace_for` / :func:`batch_for` -- the two cache levels the
-  table/figure reproductions run on (see below).
+* :func:`trace_for` / :func:`batch_for` / :func:`sweep_for` -- the
+  memo levels the table/figure reproductions run on (see below).
+* :func:`check_n_days` -- refuse a trace too short to score.
 * :func:`format_table` -- minimal fixed-width text table.
 
 Cache architecture
 ------------------
-Experiments touch the same data at three granularities, each with its
+Experiments touch the same data at four granularities, each with its
 own memo so nothing is rebuilt one level down:
 
 1. **Native trace per (site, n_days)** -- :func:`trace_for`.  Building a
@@ -17,18 +18,25 @@ own memo so nothing is rebuilt one level down:
 2. **Batch engine per (site, n_days, N)** -- :func:`batch_for`, a small
    LRU of :class:`~repro.core.wcma.WCMABatch` instances.  A batch holds
    the slotted trace plus the per-``D``/per-``(D, K)`` ``μ``/``η``/``Φ``
-   caches every grid search of Tables II/III/V and Fig. 7 shares.
-3. **Inside each batch** -- the sweep-v2 kernel caches documented on
+   caches every grid search of one (site, N) shares.
+3. **Grid search per (site, n_days, N, objective, D grid)** --
+   :func:`sweep_for`, an LRU of read-only
+   :class:`~repro.core.optimizer.GridSearchResult` objects.  Tables
+   II, III, V and Fig. 7 ask for 68 sweeps in a full ``run_all``, of
+   which 36 are distinct: each runs once and the repeats are hits.
+4. **Inside each batch** -- the sweep-v2 kernel caches documented on
    :class:`~repro.core.wcma.WCMABatch` (shared day-axis prefix sum,
    memoised ``μ``/``η`` per ``D``, incremental ``Φ`` window sums).
 
-Both memos are per process.  Under the parallel runner
+The three memos are per process.  Under the parallel runner
 (:func:`repro.experiments.runner.run_all` with ``jobs > 1``) every
-worker process grows its own copies for the (experiment, site) units it
-executes; nothing is pickled or shared between workers, so cache state
+worker process grows its own copies for the units it executes, which
+is why a pool gets one pass per site (all of a site's units in one
+worker); nothing is pickled or shared between workers, so cache state
 never crosses process boundaries.  ``backend="thread"`` workers do
-share both memos and the batches in them, so the LRU's bookkeeping
-runs under a lock and a batch is safe to sweep from several threads.
+share the memos and the batches in them, so the LRUs' bookkeeping runs
+under one lock, a batch is safe to sweep from several threads, and a
+memoised sweep's error cube is read-only.
 """
 
 from __future__ import annotations
@@ -36,9 +44,11 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.optimizer import DEFAULT_DAYS, GridSearchResult, grid_search
 from repro.core.wcma import WCMABatch
+from repro.metrics.roi import DEFAULT_WARMUP_DAYS
 from repro.solar.datasets import build_dataset
 from repro.solar.sites import SITE_ORDER
 from repro.solar.trace import SolarTrace
@@ -47,10 +57,14 @@ __all__ = [
     "DEFAULT_N_DAYS",
     "PAPER_N_VALUES",
     "BATCH_CACHE_MAX_ENTRIES",
+    "SWEEP_CACHE_MAX_ENTRIES",
+    "MIN_SWEEP_N_DAYS",
     "ExperimentResult",
     "trace_for",
     "batch_for",
+    "sweep_for",
     "clear_batch_cache",
+    "check_n_days",
     "format_table",
     "sites_for",
     "supported_n_for_site",
@@ -70,9 +84,22 @@ PAPER_N_VALUES = (288, 96, 72, 48, 24)
 #: (the five paper N values plus slack) while keeping memory flat.
 BATCH_CACHE_MAX_ENTRIES = 8
 
+#: LRU bound on the memoised grid searches.  A full ``run_all`` holds
+#: 36 distinct sweeps of about 10 KB each (the paper grid's error cube);
+#: the slack covers a few measured sites next to the synthetic six.
+SWEEP_CACHE_MAX_ENTRIES = 64
+
+#: Shortest trace a WCMA sweep experiment can score.  A prediction needs
+#: ``max(D)`` days of history and the first ``DEFAULT_WARMUP_DAYS`` are
+#: never scored; one scored day is not enough, because an overcast day
+#: can sit wholly below the region-of-interest threshold (at 21 days
+#: SPMD, ORNL and HSU score nothing), so two scored days are required.
+MIN_SWEEP_N_DAYS = max(max(DEFAULT_DAYS), DEFAULT_WARMUP_DAYS) + 2
+
 _BATCH_CACHE: "OrderedDict[Tuple[str, int, int, object], WCMABatch]" = OrderedDict()
-#: Guards the LRU's bookkeeping (not the batch build): thread-backend
-#: units look up, refresh and evict entries concurrently.
+_SWEEP_CACHE: "OrderedDict[tuple, GridSearchResult]" = OrderedDict()
+#: Guards both LRUs' bookkeeping (not the batch build or the sweep):
+#: thread-backend units look up, refresh and evict entries concurrently.
 _BATCH_LOCK = threading.Lock()
 
 _TRACE_CACHE: Dict[Tuple[str, int, object], SolarTrace] = {}
@@ -117,20 +144,76 @@ def batch_for(site: str, n_days: int, n_slots: int) -> WCMABatch:
             _BATCH_CACHE.move_to_end(key)
             return _BATCH_CACHE[key]
     batch = WCMABatch.from_trace(trace_for(site, n_days), n_slots)
+    return _remember(_BATCH_CACHE, key, batch, BATCH_CACHE_MAX_ENTRIES)
+
+
+def sweep_for(
+    site: str,
+    n_days: int,
+    n_slots: int,
+    objective: str = "mape",
+    days: Sequence[int] = DEFAULT_DAYS,
+) -> GridSearchResult:
+    """Memoised paper-grid search for one (site, trace length, N).
+
+    Keyed like :func:`batch_for` plus the objective and the ``D`` grid;
+    a miss runs :func:`~repro.core.optimizer.grid_search` on the
+    memoised batch.  Hits return the same object, so its ``errors``
+    cube is made read-only: copy a slice before changing it.  An LRU of
+    :data:`SWEEP_CACHE_MAX_ENTRIES`.
+    """
+    from repro.solar.datasets import dataset_token
+
+    days = tuple(days)
+    key = (site.upper(), n_days, n_slots, dataset_token(site), objective, days)
     with _BATCH_LOCK:
-        # A concurrent miss may have stored this key first: share it.
-        batch = _BATCH_CACHE.setdefault(key, batch)
-        _BATCH_CACHE.move_to_end(key)
-        while len(_BATCH_CACHE) > BATCH_CACHE_MAX_ENTRIES:
-            _BATCH_CACHE.popitem(last=False)
-    return batch
+        if key in _SWEEP_CACHE:
+            _SWEEP_CACHE.move_to_end(key)
+            return _SWEEP_CACHE[key]
+    batch = batch_for(site, n_days, n_slots)
+    result = grid_search(
+        batch.view.trace, n_slots, days=days, objective=objective, batch=batch
+    )
+    result.errors.flags.writeable = False
+    return _remember(_SWEEP_CACHE, key, result, SWEEP_CACHE_MAX_ENTRIES)
+
+
+def _remember(memo: OrderedDict, key, value, bound: int):
+    """Store a freshly built memo value, evicting beyond ``bound``.
+
+    A concurrent miss may have stored the key first: its value is
+    shared and this one dropped.
+    """
+    with _BATCH_LOCK:
+        value = memo.setdefault(key, value)
+        memo.move_to_end(key)
+        while len(memo) > bound:
+            memo.popitem(last=False)
+    return value
 
 
 def clear_batch_cache() -> None:
-    """Drop memoised batches and traces (tests)."""
+    """Drop memoised sweeps, batches and traces (tests)."""
     with _BATCH_LOCK:
+        _SWEEP_CACHE.clear()
         _BATCH_CACHE.clear()
     _TRACE_CACHE.clear()
+
+
+def check_n_days(n_days: int, needs: Mapping[str, int]) -> None:
+    """Refuse a trace shorter than an experiment can run.
+
+    ``needs`` maps each experiment about to run to the shortest trace it
+    can score (its module's ``MIN_N_DAYS``).  Callers check before any
+    work starts, so a short ``--days`` is one ``ValueError`` -- one
+    ``error:`` line from the CLI -- not a failure deep in a sweep.
+    """
+    for name, need in needs.items():
+        if n_days < need:
+            raise ValueError(
+                f"n_days={n_days} is too short for {name}, which needs "
+                f"at least {need} days"
+            )
 
 
 def warm_worker(

@@ -17,18 +17,24 @@ from repro.experiments.common import DEFAULT_N_DAYS, ExperimentResult
 from repro.solar.datasets import build_dataset
 from repro.solar.slots import SlotView
 
-__all__ = ["run", "series"]
+__all__ = ["run", "series", "MIN_N_DAYS"]
 
 HEADERS = ["day", "peak_wm2", "energy_wh_m2", "day_character"]
 
 #: Interval length of the figure (the paper plots 5-minute energies).
 INTERVAL_MINUTES = 5
 
+#: Days the figure plots.
+FIGURE_DAYS = 6
+
+#: Shortest trace that holds the figure's day window.
+MIN_N_DAYS = FIGURE_DAYS
+
 
 def series(
     site: str = "SPMD",
     start_day: int = None,
-    n_figure_days: int = 6,
+    n_figure_days: int = FIGURE_DAYS,
     n_days: int = DEFAULT_N_DAYS,
 ) -> np.ndarray:
     """The plotted series: per-5-minute mean power, shape (days, 288).
@@ -50,7 +56,7 @@ def series(
 def run(
     site: str = "SPMD",
     start_day: int = None,
-    n_figure_days: int = 6,
+    n_figure_days: int = FIGURE_DAYS,
     n_days: int = DEFAULT_N_DAYS,
     sites: Optional[object] = None,  # accepted for runner uniformity
 ) -> ExperimentResult:

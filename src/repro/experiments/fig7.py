@@ -13,17 +13,21 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.optimizer import DEFAULT_DAYS, grid_search
+from repro.core.optimizer import DEFAULT_DAYS
 from repro.experiments.common import (
     DEFAULT_N_DAYS,
+    MIN_SWEEP_N_DAYS,
     ExperimentResult,
-    batch_for,
     sites_for,
+    sweep_for,
 )
 
-__all__ = ["run", "series"]
+__all__ = ["run", "series", "MIN_N_DAYS"]
 
 N_SLOTS = 48
+
+#: Shortest trace the sweeps can score.
+MIN_N_DAYS = MIN_SWEEP_N_DAYS
 
 HEADERS = ["data_set", "d", "mape"]
 
@@ -36,10 +40,9 @@ def series(
     """Per-site MAPE arrays over ``days_grid`` (plot-ready)."""
     out: Dict[str, np.ndarray] = {}
     for site in sites_for(sites):
-        batch = batch_for(site, n_days, N_SLOTS)
-        sweep = grid_search(
-            batch.view.trace, N_SLOTS, days=days_grid, batch=batch
-        )
+        # On the default D grid this is Table III's N=48 sweep, a memo
+        # hit once table3 has run.
+        sweep = sweep_for(site, n_days, N_SLOTS, days=days_grid)
         best = sweep.best
         alpha_idx = sweep.alphas.index(best.alpha)
         k_idx = sweep.ks.index(best.k)

@@ -12,10 +12,9 @@ Two harnesses:
   predictor (WCMA at the paper's recommended parameters goes through
   the shared :class:`~repro.core.wcma.WCMABatch` engine) and, when
   ``tune_wcma`` is on, by a re-tuned WCMA whose full ``(alpha, D, K)``
-  grid search runs through :func:`~repro.core.optimizer.sweep_many`
-  against the same batch caches.  The ``clean`` scenario is always
-  included so every row carries its degradation against the clean
-  baseline of the same (site, predictor).
+  :func:`~repro.core.optimizer.grid_search` runs on the same batch.
+  The ``clean`` scenario is always included so every row carries its
+  degradation against the clean baseline of the same (site, predictor).
 * :func:`run_fleet_robustness` -- the deployment view: one fleet node
   per (site, scenario) pair, every node holding a differently-degraded
   trace, stepped in lock-step by the
@@ -65,12 +64,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.optimizer import SweepSpec, mape_for_params, sweep_many
+from repro.core.optimizer import grid_search, mape_for_params
 from repro.core.registry import available_predictors, make_predictor
 from repro.core.wcma import WCMABatch, WCMAParams
 from repro.experiments.common import (
     DEFAULT_N_DAYS,
+    MIN_SWEEP_N_DAYS,
     ExperimentResult,
+    check_n_days,
     sites_for,
     trace_for,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "DEFAULT_SCENARIOS",
     "DEFAULT_MATRIX_PREDICTORS",
     "LEARNED_MATRIX_PREDICTORS",
+    "MIN_N_DAYS",
     "STACKED_MATRIX_PREDICTORS",
     "TUNED_WCMA_LABEL",
     "scenarios_for",
@@ -154,6 +156,11 @@ TUNED_WCMA_LABEL = "wcma-tuned"
 
 #: Paper-recommended operating point (Section IV-B).
 _PAPER_PARAMS = WCMAParams(alpha=0.7, days=10, k=2)
+
+#: Shortest trace the matrix can score: the re-tuning sweep needs the
+#: paper grid's history, and every predictor is scored on the same
+#: region of interest as the paper's tables.
+MIN_N_DAYS = MIN_SWEEP_N_DAYS
 
 _MATRIX_HEADERS = [
     "scenario",
@@ -231,9 +238,7 @@ def _matrix_unit(
             error = run_.mape
         rows.append(_matrix_row(scenario_name, site, name, error))
     if tune_wcma:
-        sweep = sweep_many(
-            [SweepSpec(perturbed, n_slots, "mape", batch=batch)]
-        )[0]
+        sweep = grid_search(perturbed, n_slots, batch=batch)
         row = _matrix_row(
             scenario_name, site, TUNED_WCMA_LABEL, sweep.best_error
         )
@@ -431,8 +436,8 @@ def run(
     jobs:
         Worker count (None/1 = inline; output identical).
     tune_wcma:
-        Also re-tune WCMA per cell via a full grid search through
-        :func:`~repro.core.optimizer.sweep_many`.
+        Also re-tune WCMA per cell via a full
+        :func:`~repro.core.optimizer.grid_search`.
     backend:
         Executor backend (:data:`repro.parallel.executor.BACKENDS`);
         ``None`` = process pool when ``jobs > 1``.
@@ -456,8 +461,7 @@ def run(
     site_list = sites_for(sites)
     scenario_list = scenarios_for(scenarios)
     predictor_list = _predictors_for(predictors)
-    if n_days <= 0:
-        raise ValueError(f"n_days must be positive, got {n_days}")
+    check_n_days(n_days, {"the robustness matrix": MIN_N_DAYS})
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 

@@ -11,23 +11,32 @@ Parallel execution
 **(experiment, site)** pair for the trace-driven multi-site
 reproductions (Tables I/II/III/V, Fig. 7), one whole experiment for
 the cheap or single-site ones (Table IV, Figs. 2/6) -- and hands them
-to the shared executor (:func:`repro.parallel.executor.execute_passes`,
-one unit per pass).
+to the shared executor (:func:`repro.parallel.executor.execute_passes`).
 Sites are independent by construction (every sweep reads only its own
 site's trace), so per-site results concatenate, in site order, to
 exactly the sequential rows; *both* code paths run the same unit split
 and merge, which is what makes their output -- and their cache keys --
 identical.
 
-``jobs=None`` (or 1) runs the units inline in this process, sharing
-the experiment-level memos (:func:`repro.experiments.common.trace_for`
-/ :func:`~repro.experiments.common.batch_for`); no pool is ever
-spawned for one worker or a single unit.  With ``jobs > 1`` each
-worker owns private copies of those memos, warmed by the
+``jobs=None`` (or 1) runs the units inline in this process, one unit
+per pass in experiment order, sharing the experiment-level memos
+(:func:`repro.experiments.common.trace_for` /
+:func:`~repro.experiments.common.batch_for` /
+:func:`~repro.experiments.common.sweep_for`); no pool is ever spawned
+for one worker or a single unit.  With ``jobs > 1`` each worker owns
+private copies of those memos, warmed by the
 :func:`~repro.experiments.common.warm_worker` initializer (measured
-sites re-registered before the first unit).  ``backend="thread"``
-trades process isolation for zero fork/pickle cost on GIL-releasing
-numpy sweeps.
+sites re-registered before the first unit), so the pool runs one pass
+per site: every per-site unit of a site in one worker, which builds
+the site's trace and batches once and sweeps each (N, objective) once.
+Site-less units stay one-unit passes, and the largest pass is halved
+until every worker has one.  Units stay the cache grain either way.
+``backend="thread"`` trades process isolation for zero fork/pickle
+cost on GIL-releasing numpy sweeps.
+
+Every trace-driven experiment states the shortest trace it can run
+(``MIN_N_DAYS``); ``run_all`` refuses a shorter ``n_days`` before any
+unit runs.
 
 With a :class:`~repro.parallel.cache.ResultCache`, every unit is keyed
 by (experiment, n_days, sites, dataset identity, code salt): cached
@@ -40,9 +49,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import fig2, fig6, fig7, table1, table2, table3, table4, table5
-from repro.experiments.common import DEFAULT_N_DAYS, ExperimentResult, sites_for
+from repro.experiments.common import (
+    DEFAULT_N_DAYS,
+    ExperimentResult,
+    check_n_days,
+    sites_for,
+)
 
-__all__ = ["EXPERIMENTS", "run_all", "render_report"]
+__all__ = ["EXPERIMENTS", "run_all", "render_report", "trace_needs"]
 
 #: Experiment ids in paper order.
 EXPERIMENTS = (
@@ -86,6 +100,20 @@ def _run_unit(
     return module.run(n_days=n_days, sites=sites)
 
 
+def _run_pass(*units: tuple):
+    """Execute one pass of work units, in order (module-level so
+    process pools can pickle it); a one-unit pass returns its result."""
+    results = [_run_unit(*unit) for unit in units]
+    return results[0] if len(results) == 1 else results
+
+
+def trace_needs(selected: Sequence[str]) -> Dict[str, int]:
+    """Shortest trace (``MIN_N_DAYS``) of each selected trace-driven experiment."""
+    return {
+        name: _MODULES[name].MIN_N_DAYS for name in selected if name in _TRACE_DRIVEN
+    }
+
+
 def _work_units(
     selected: Sequence[str], sites: Optional[Sequence[str]]
 ) -> List[Tuple[str, Optional[Tuple[str, ...]]]]:
@@ -106,6 +134,29 @@ def _work_units(
             # the sequential path does)
             units.append((name, tuple(sites) if sites is not None else None))
     return units
+
+
+def _site_passes(
+    units: Sequence[Tuple[str, Optional[Tuple[str, ...]]]],
+    missing: Sequence[int],
+    jobs: int,
+) -> List[List[int]]:
+    """Group the missing units into per-site passes for a pool.
+
+    Every per-site unit of one site shares a pass, in unit order, so one
+    worker builds the site's trace and batches once and its table3,
+    table5 and fig7 units share sweeps through the worker's memo.
+    Site-less units are passes of their own.  The largest pass is then
+    halved until there are ``min(jobs, len(missing))`` passes.
+    """
+    from repro.parallel.executor import split_widest
+
+    groups: Dict[object, List[int]] = {}  # site name, or a site-less unit's index
+    for i in missing:
+        name, unit_sites = units[i]
+        key = unit_sites[0] if name in _PER_SITE and unit_sites else i
+        groups.setdefault(key, []).append(i)
+    return split_widest(list(groups.values()), min(jobs, len(missing)))
 
 
 def _merge_parts(parts: List[ExperimentResult]) -> ExperimentResult:
@@ -181,6 +232,7 @@ def run_all(
     # A duplicated id runs once: the merge would otherwise double rows,
     # so drop repeats up front and keep first-occurrence order.
     selected = tuple(dict.fromkeys(selected))
+    check_n_days(n_days, trace_needs(selected))
 
     results: Dict[str, ExperimentResult] = {}
     units = _work_units(selected, sites)
@@ -212,10 +264,17 @@ def run_all(
             initargs = (measured,)
 
     args = [(name, n_days, unit_sites) for name, unit_sites in units]
+    pooled = jobs is not None and jobs > 1 and backend != "inline"
+
+    def passes(missing):
+        groups = _site_passes(units, missing, jobs) if pooled else [[i] for i in missing]
+        return [(members, tuple(args[i] for i in members)) for members in groups]
+
     outputs, exec_stats = execute_passes(
-        _run_unit,
+        _run_pass,
         len(args),
-        lambda missing: [([i], args[i]) for i in missing],
+        passes,
+        split=lambda output, members: output,
         jobs=jobs,
         backend=backend,
         initializer=initializer,

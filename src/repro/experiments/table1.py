@@ -12,7 +12,10 @@ from typing import Optional, Sequence
 from repro.experiments.common import DEFAULT_N_DAYS, ExperimentResult, sites_for
 from repro.solar.datasets import build_dataset
 
-__all__ = ["run"]
+__all__ = ["run", "MIN_N_DAYS"]
+
+#: Shortest trace Table I can describe.
+MIN_N_DAYS = 1
 
 HEADERS = ["data_set", "location", "observations", "days", "resolution"]
 

@@ -14,17 +14,20 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.optimizer import SweepSpec, sweep_many
 from repro.experiments.common import (
     DEFAULT_N_DAYS,
+    MIN_SWEEP_N_DAYS,
     ExperimentResult,
-    batch_for,
     sites_for,
+    sweep_for,
 )
 
-__all__ = ["run", "N_SLOTS"]
+__all__ = ["run", "N_SLOTS", "MIN_N_DAYS"]
 
 N_SLOTS = 48
+
+#: Shortest trace the sweeps can score.
+MIN_N_DAYS = MIN_SWEEP_N_DAYS
 
 HEADERS = [
     "data_set",
@@ -45,17 +48,8 @@ def run(
     """Regenerate Table II."""
     rows = []
     for site in sites_for(sites):
-        batch = batch_for(site, n_days, N_SLOTS)
-        trace = batch.view.trace
-        # One sweep_many call: both objectives share the batch's
-        # mu/eta/Phi caches (the reference series differ, the
-        # conditioned terms do not).
-        by_prime, by_mape = sweep_many(
-            [
-                SweepSpec(trace, N_SLOTS, objective="mape_prime", batch=batch),
-                SweepSpec(trace, N_SLOTS, objective="mape", batch=batch),
-            ]
-        )
+        by_prime = sweep_for(site, n_days, N_SLOTS, objective="mape_prime")
+        by_mape = sweep_for(site, n_days, N_SLOTS)
         rows.append(
             {
                 "data_set": site,

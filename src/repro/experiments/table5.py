@@ -19,20 +19,24 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.core.dynamic import clairvoyant_dynamic
-from repro.core.optimizer import SweepSpec, sweep_many
 from repro.experiments.common import (
     DEFAULT_N_DAYS,
+    MIN_SWEEP_N_DAYS,
     PAPER_N_VALUES,
     ExperimentResult,
     batch_for,
     sites_for,
     supported_n_for_site,
+    sweep_for,
 )
 
-__all__ = ["run", "DYNAMIC_SITES"]
+__all__ = ["run", "DYNAMIC_SITES", "MIN_N_DAYS"]
 
 #: The paper's Table V covers these four sites.
 DYNAMIC_SITES = ("SPMD", "ECSU", "ORNL", "HSU")
+
+#: Shortest trace the sweeps can score.
+MIN_N_DAYS = MIN_SWEEP_N_DAYS
 
 HEADERS = [
     "data_set",
@@ -55,16 +59,13 @@ def run(
     selected = sites_for(sites if sites is not None else DYNAMIC_SITES)
     rows = []
     for site in selected:
-        # Static optima for every supported N in one sweep_many call
-        # (shared trace via trace_for, shared kernels per batch); the
-        # clairvoyant passes then reuse the same batches.
-        specs = []
-        for n_slots in supported_n_for_site(site, n_values):
-            batch = batch_for(site, n_days, n_slots)
-            specs.append(SweepSpec(batch.view.trace, n_slots, batch=batch))
-        for spec, static in zip(specs, sweep_many(specs)):
-            n_slots = spec.n_slots
-            batch = spec.batch
+        # The static optima are Table III's sweeps (memo hits after
+        # table3); as there, every batch is built before the first
+        # sweep, and the clairvoyant passes reuse the same batches.
+        site_n = supported_n_for_site(site, n_values)
+        batches = [batch_for(site, n_days, n_slots) for n_slots in site_n]
+        for n_slots, batch in zip(site_n, batches):
+            static = sweep_for(site, n_days, n_slots)
             days = static.best.days
             both = clairvoyant_dynamic(
                 batch.view.trace, n_slots, days, mode="both", batch=batch

@@ -52,6 +52,7 @@ __all__ = [
     "execute_passes",
     "execute_units",
     "run_units",
+    "split_widest",
 ]
 
 #: Supported execution backends.
@@ -271,17 +272,19 @@ def execute_passes(
        is its jobs/backend/chunk_size/initializer/initargs).  As each
        pass completes, a one-unit pass's output is cached under its
        unit key.  A multi-unit pass's output is cached under its pass
-       key first, then cut by ``split(output, members)`` into member
-       values (in ``members`` order), each cached under its unit key.
+       key first (unless ``pass_key`` is ``None``), then cut by
+       ``split(output, members)`` into member values (in ``members``
+       order), each cached under its unit key.
 
     A kill therefore loses at most the passes in flight.  A pass killed
     after its pass entry was stored but before any member entry was
     resumes from the pass entry without running again; once some member
     entries exist, the missing rest regroups under another pass key and
     runs again.  Pass entries stay on disk beside their members' entries
-    (a second copy of those values) and are read only by such a resume.
-    A pass output may be a :class:`Timed`, of which only the value is
-    cached.  The stats count units, not passes:
+    (a second copy of those values) and are read only by such a resume;
+    a caller whose split is cheap to redo passes ``pass_key=None`` and
+    writes no second copy.  A pass output may be a :class:`Timed`, of
+    which only the value is cached.  The stats count units, not passes:
     ``cache_hits + cache_misses == n_units``.
     """
     t_start = time.perf_counter()
@@ -312,7 +315,8 @@ def execute_passes(
 
     todo = []
     for members, args in passes:
-        key = pass_key(members) if cached and len(members) > 1 else None
+        multi = cached and pass_key is not None and len(members) > 1
+        key = pass_key(members) if multi else None
         if key is not None:
             output = cache.get(key)
             if output is not MISS:  # a pass killed before its split
@@ -345,6 +349,21 @@ def execute_passes(
         stage_seconds=stage_totals or None,
     )
     return values, stats
+
+
+def split_widest(passes: List[List[int]], count: int) -> List[List[int]]:
+    """Halve the pass with the most units until there are ``count`` passes.
+
+    The grouping callbacks of :func:`execute_passes` call this with
+    ``min(jobs, len(missing))``, so no worker idles while another runs a
+    wide pass.  Halves keep their unit order.
+    """
+    while len(passes) < count:
+        widest = max(range(len(passes)), key=lambda j: len(passes[j]))
+        members = passes[widest]
+        half = len(members) // 2
+        passes[widest:widest + 1] = [members[:half], members[half:]]
+    return passes
 
 
 def run_units(fn: Callable, units: Sequence[tuple], **kwargs) -> list:

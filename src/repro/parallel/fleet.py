@@ -56,7 +56,7 @@ import numpy as np
 from repro.management.fleet import FleetAggregate
 from repro.solar.scenarios import DEFAULT_SCENARIO_SEED
 from repro.parallel.cache import ResultCache, dataset_identity
-from repro.parallel.executor import ExecutionStats, execute_passes
+from repro.parallel.executor import ExecutionStats, execute_passes, split_widest
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -177,12 +177,7 @@ def group_blocks(
         else:
             passes.append([i])
             width = size
-    while len(passes) < min(jobs or 1, len(missing)):
-        widest = max(range(len(passes)), key=lambda j: len(passes[j]))
-        members = passes[widest]
-        half = len(members) // 2
-        passes[widest:widest + 1] = [members[:half], members[half:]]
-    return passes
+    return split_widest(passes, min(jobs or 1, len(missing)))
 
 
 def _run_block(plan: FleetPlan, start: int, stop: int, dtype: str) -> FleetAggregate:

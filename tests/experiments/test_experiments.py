@@ -5,15 +5,31 @@ experiment runs on short traces and we assert structure plus the
 paper's qualitative claims that survive small samples.
 """
 
+import numpy as np
 import pytest
 
-from repro.experiments import fig2, fig6, fig7, table1, table2, table3, table4, table5
+from repro.core.optimizer import DEFAULT_DAYS, grid_search
+from repro.experiments import (
+    common,
+    fig2,
+    fig6,
+    fig7,
+    runner,
+    table1,
+    table2,
+    table3,
+    table4,
+    table5,
+)
 from repro.experiments.common import (
+    PAPER_N_VALUES,
     ExperimentResult,
     batch_for,
+    clear_batch_cache,
     format_table,
     sites_for,
     supported_n_for_site,
+    sweep_for,
     trace_for,
 )
 from repro.experiments.runner import EXPERIMENTS, render_report, run_all
@@ -171,6 +187,146 @@ class TestCommon:
         assert result.column("a") == [1.0, None]
         with pytest.raises(KeyError):
             result.column("zz")
+
+
+class TestSweepMemo:
+    """``sweep_for``: one grid search per distinct (site, n_days, N,
+    objective, D grid), shared read-only."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        clear_batch_cache()
+        yield
+        clear_batch_cache()
+
+    def test_hit_is_the_same_object_and_bitwise_a_fresh_search(self):
+        first = sweep_for("PFCI", DAYS, 24)
+        assert sweep_for("pfci", DAYS, 24) is first
+        fresh = grid_search(trace_for("PFCI", DAYS), 24)  # its own batch
+        assert first.errors.tobytes() == fresh.errors.tobytes()
+        assert (first.best, first.best_error) == (fresh.best, fresh.best_error)
+
+    def test_objective_n_days_n_and_grid_are_separate_entries(self):
+        base = sweep_for("PFCI", DAYS, 24)
+        others = [
+            sweep_for("PFCI", DAYS, 24, objective="mape_prime"),
+            sweep_for("PFCI", DAYS, 48),
+            sweep_for("PFCI", DAYS - 1, 24),
+            sweep_for("PFCI", DAYS, 24, days=(2, 3, 4)),
+        ]
+        assert len(common._SWEEP_CACHE) == 5
+        assert len({id(result) for result in [base] + others}) == 5
+        assert others[0].objective == "mape_prime"
+        assert others[1].n_slots == 48
+        assert others[3].days == (2, 3, 4)
+
+    def test_reregistered_measured_site_misses(self, tmp_path):
+        from repro.solar.ingest.sites import (
+            clear_measured_sites,
+            register_measured_site,
+        )
+
+        def write(path, seed):
+            power = np.random.default_rng(seed).uniform(50.0, 500.0, (30, 24))
+            rows = [
+                f"03/{day + 1:02d}/2010,{h:02d}:00,"
+                f"{power[day, h] if 6 <= h <= 18 else 0.0:.1f}"
+                for day in range(30)
+                for h in range(24)
+            ]
+            path.write_text("DATE,MST,Global [W/m^2]\n" + "\n".join(rows) + "\n")
+
+        write(tmp_path / "a.csv", 1)
+        write(tmp_path / "b.csv", 2)
+        try:
+            register_measured_site(tmp_path / "a.csv", name="MEMO")
+            before = sweep_for("MEMO", 30, 12, days=(2, 3))
+            register_measured_site(tmp_path / "b.csv", name="MEMO", overwrite=True)
+            after = sweep_for("MEMO", 30, 12, days=(2, 3))
+        finally:
+            clear_measured_sites()
+        assert after is not before
+        assert not np.array_equal(after.errors, before.errors)
+
+    def test_cached_errors_are_read_only(self):
+        result = sweep_for("PFCI", DAYS, 24, days=(2, 3))
+        with pytest.raises(ValueError):
+            result.errors[0, 0, 0] = 0.0
+
+    def test_bounded_lru_and_cleared_with_the_batches(self):
+        keys = [
+            (n, objective, d)
+            for n in (24, 48)
+            for objective in ("mape", "mape_prime")
+            for d in DEFAULT_DAYS
+        ]
+        assert len(keys) > common.SWEEP_CACHE_MAX_ENTRIES
+        first = sweep_for("PFCI", DAYS, 24, days=(2,))
+        for n, objective, d in keys:
+            sweep_for("PFCI", DAYS, n, objective=objective, days=(d,))
+        assert len(common._SWEEP_CACHE) == common.SWEEP_CACHE_MAX_ENTRIES
+        assert sweep_for("PFCI", DAYS, 24, days=(2,)) is not first  # evicted
+        n, objective, d = keys[-1]
+        assert ("PFCI", DAYS, n, None, objective, (d,)) in common._SWEEP_CACHE
+        clear_batch_cache()
+        assert len(common._SWEEP_CACHE) == 0 and len(common._BATCH_CACHE) == 0
+
+    def test_shared_by_threads_under_stress(self, monkeypatch):
+        """Six threads (more than the cores of a small box) cycle through
+        more keys than a shrunken memo holds, with a short switch
+        interval: every hit must equal the single-threaded search and
+        the LRU must stay within its bound."""
+        import sys
+        import threading
+
+        monkeypatch.setattr(common, "SWEEP_CACHE_MAX_ENTRIES", 4)
+        n_values = (48, 36, 24, 18, 16, 12, 8, 6)
+        grid = (2, 3, 4)
+        expect = {
+            n: grid_search(trace_for("PFCI", 30), n, days=grid).errors.tobytes()
+            for n in n_values
+        }
+        mismatches, raised = [], []
+
+        def worker(offset):
+            try:
+                for i in range(2 * len(n_values)):
+                    n = n_values[(offset + i) % len(n_values)]
+                    if sweep_for("PFCI", 30, n, days=grid).errors.tobytes() != expect[n]:
+                        mismatches.append(n)
+            except Exception as exc:  # surfaced by the assertion below
+                raised.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert raised == [] and mismatches == []
+        assert len(common._SWEEP_CACHE) <= 4
+
+    def test_inline_run_all_sweeps_each_distinct_grid_once(self, monkeypatch):
+        calls = []
+        real = common.grid_search
+
+        def counting(trace, n_slots, **kwargs):
+            calls.append((trace.name, n_slots, kwargs["objective"], kwargs["days"]))
+            return real(trace, n_slots, **kwargs)
+
+        monkeypatch.setattr(common, "grid_search", counting)
+        run_all(n_days=DAYS, sites=SITES)
+        expected = set()
+        for site in SITES:
+            expected.add((site, 48, "mape_prime", DEFAULT_DAYS))
+            for n in supported_n_for_site(site, PAPER_N_VALUES):
+                expected.add((site, n, "mape", DEFAULT_DAYS))
+        assert sorted(calls) == sorted(expected)
 
 
 class TestTable1:
@@ -439,3 +595,93 @@ class TestRunnerCacheAndBackend:
     def test_rejects_bad_backend(self):
         with pytest.raises(ValueError, match="backend"):
             run_all(n_days=DAYS, only=("table1",), jobs=2, backend="mpi")
+
+    def test_rejects_too_short_trace_before_any_unit(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a unit ran")
+
+        monkeypatch.setattr(runner, "_run_unit", fail)
+        with pytest.raises(ValueError, match="n_days=21 is too short for table2"):
+            run_all(n_days=table2.MIN_N_DAYS - 1, only=("table1", "table2"))
+        with pytest.raises(ValueError, match="fig2"):
+            run_all(n_days=fig2.MIN_N_DAYS - 1, only=("fig2",))
+
+
+class TestSitePasses:
+    """Under a pool, one pass per site; units stay the cache grain."""
+
+    def _record_passes(self, monkeypatch):
+        recorded = []
+        real = runner._site_passes
+
+        def spy(units, missing, jobs):
+            passes = real(units, missing, jobs)
+            recorded.append((passes, units))
+            return passes
+
+        monkeypatch.setattr(runner, "_site_passes", spy)
+        return recorded
+
+    def test_pool_passes_hold_one_site_each(self, monkeypatch):
+        recorded = self._record_passes(monkeypatch)
+        only = ("table1", "table2", "table4", "fig6")
+        pooled = run_all(n_days=DAYS, sites=SITES, only=only, jobs=2)
+        assert render_report(pooled) == render_report(
+            run_all(n_days=DAYS, sites=SITES, only=only)
+        )
+        [(passes, units)] = recorded
+        assert sorted(i for members in passes for i in members) == list(range(len(units)))
+        multi = [members for members in passes if len(members) > 1]
+        assert len(multi) == len(SITES)
+        for members in multi:
+            assert len({units[i][1] for i in members}) == 1
+            assert [units[i][0] for i in members] == ["table1", "table2"]
+        assert sorted(len(members) for members in passes) == [1, 1, 2, 2]
+
+    def test_one_site_pool_still_gets_a_pass_per_worker(self, monkeypatch):
+        recorded = self._record_passes(monkeypatch)
+        stats = []
+        run_all(
+            n_days=DAYS, sites=("PFCI",), only=("table2", "table3"),
+            jobs=2, stats=stats,
+        )
+        [(passes, _)] = recorded
+        assert passes == [[0], [1]]
+        assert stats[0].backend == "process" and stats[0].n_units == 2
+
+    def test_inline_runs_one_unit_per_pass(self, monkeypatch):
+        recorded = self._record_passes(monkeypatch)
+        run_all(n_days=DAYS, sites=SITES, only=("table1",), jobs=2, backend="inline")
+        run_all(n_days=DAYS, sites=SITES, only=("table1",))
+        assert recorded == []
+
+    def test_pooled_and_inline_write_the_same_cache_files(self, tmp_path):
+        from repro.parallel.cache import ResultCache
+
+        def files(root):
+            return {
+                path.relative_to(root): path.read_bytes()
+                for path in root.rglob("*.pkl")
+            }
+
+        only = ("table1", "table2", "table4")
+        inline_root, pooled_root = tmp_path / "inline", tmp_path / "pooled"
+        run_all(
+            n_days=DAYS, sites=SITES, only=only,
+            cache=ResultCache(inline_root, salt="test"),
+        )
+        pooled_cache = ResultCache(pooled_root, salt="test")
+        stats = []
+        run_all(
+            n_days=DAYS, sites=SITES, only=only, jobs=2,
+            cache=pooled_cache, stats=stats,
+        )
+        # one entry per unit (2 sites x 2 per-site experiments + table4):
+        # no entry for the two-unit site passes
+        assert len(files(pooled_root)) == 5
+        assert files(pooled_root) == files(inline_root)
+        run_all(
+            n_days=DAYS, sites=SITES, only=only, jobs=2,
+            cache=pooled_cache, stats=stats,
+        )
+        assert (stats[1].cache_hits, stats[1].cache_misses) == (5, 0)

@@ -243,6 +243,19 @@ class TestPasses:
         )
         assert values == EXPECTED and stats.backend == "thread"
 
+    def test_no_pass_key_caches_only_the_units(self, tmp_path):
+        cache = ResultCache(tmp_path / "c", salt="s")
+        keys = [cache.key({"unit": i}) for i in range(10)]
+        values, stats = execute_passes(
+            _squares, 10, _pairs, split=_split, cache=cache, keys=keys
+        )
+        assert values == EXPECTED and stats.cache_misses == 10
+        assert cache.info()["entries"] == 10
+        again, stats = execute_passes(
+            _squares, 10, _pairs, split=_split, cache=cache, keys=keys
+        )
+        assert again == EXPECTED and stats.cache_hits == 10
+
     def test_passes_must_cover_the_missing_units(self):
         with pytest.raises(ValueError, match="exactly once"):
             execute_passes(_squares, 4, lambda missing: [([0, 1], (0, 2))], split=_split)

@@ -111,6 +111,52 @@ class TestValueErrorsExitCleanly:
         assert excinfo.value.code == 2
 
 
+class TestTraceLengthBoundaries:
+    """A --days one short of what a command can score is one error line
+    and status 2; at the shortest length the command runs."""
+
+    @pytest.mark.parametrize(
+        "argv, shortest",
+        [
+            (["run", "table2"], 22),
+            (["run", "table3"], 22),
+            (["run", "table5"], 22),
+            (["run", "fig7"], 22),
+            (["run", "fig2"], 6),
+            (["run-all"], 22),
+            (["plot", "fig7", "--sites", "PFCI"], 22),
+            (["plot", "fig2"], 6),
+            (["robustness", "--sites", "PFCI", "--scenarios", "dropout",
+              "--no-fleet"], 22),
+        ],
+    )
+    def test_shortest_trace(self, argv, shortest, capsys):
+        code = main(argv + ["--days", str(shortest - 1)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"needs at least {shortest} days" in err
+        assert main(argv + ["--days", str(shortest)]) == 0
+
+    def test_short_measured_trace_exits_cleanly(self, tmp_path, capsys):
+        from repro.solar.ingest.sites import clear_measured_sites
+
+        rows = [
+            f"03/{day + 1:02d}/2010,{h:02d}:00,{500.0 if 6 <= h <= 18 else 0.0}"
+            for day in range(10)
+            for h in range(24)
+        ]
+        short = tmp_path / "short.csv"
+        short.write_text("DATE,MST,Global [W/m^2]\n" + "\n".join(rows) + "\n")
+        try:
+            code = main(["robustness", "--trace", str(short), "--n", "24"])
+        finally:
+            clear_measured_sites()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_days=10 is too short" in err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
