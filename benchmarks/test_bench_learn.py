@@ -20,7 +20,9 @@ under ``REPRO_BENCH_RECORD=1`` (uploaded as a CI artifact beside
 * **Matrix throughput** -- the learned robustness slice, column-stacked
   (one B-cell :class:`~repro.learn.predictor.LearnedKernel` slab per
   predictor) vs the per-cell scalar path it replaced, with learned
-  cells/sec and the kernel's features/refit/predict stage split.
+  cells/sec.  perfbench's tracer splits that time into features, refit
+  and predict (``python3 perfbench/run.py --workload matrix --trace 1``
+  reports ``learn.features_s`` / ``learn.refit_s`` / ``learn.predict_s``).
 
 Both paths are bitwise-identical by construction (pinned in
 ``tests/learn/test_fast_path.py`` and the goldens), so everything here
@@ -157,9 +159,8 @@ def test_bench_learn_refit_speedup():
 
 def test_bench_learn_matrix_throughput():
     """Column-stacked learned slabs vs the per-cell path they replace."""
-    stats = []
     start = time.perf_counter()
-    stacked = robustness.run(stats=stats, **MATRIX_KWARGS)
+    stacked = robustness.run(**MATRIX_KWARGS)
     stacked_s = time.perf_counter() - start
 
     # The pre-stacking baseline: force every learned predictor through
@@ -181,12 +182,10 @@ def test_bench_learn_matrix_throughput():
         for row in stacked.rows
         if row["predictor"] in robustness.STACKED_MATRIX_PREDICTORS
     )
-    stages = stats[0].stage_seconds or {}
     print(
         f"\nlearned matrix ({n_cells} cells): stacked {stacked_s:.2f}s "
         f"({n_cells / stacked_s:.2f} cells/s) vs per-cell {per_cell_s:.2f}s "
-        f"= {per_cell_s / stacked_s:.2f}x; stages "
-        + ", ".join(f"{k}={v:.2f}s" for k, v in sorted(stages.items()))
+        f"= {per_cell_s / stacked_s:.2f}x"
     )
     record(
         "learn",
@@ -199,7 +198,6 @@ def test_bench_learn_matrix_throughput():
             "per_cell_s": round(per_cell_s, 4),
             "speedup": round(per_cell_s / stacked_s, 2),
             "cells_per_sec": round(n_cells / stacked_s, 3),
-            "stage_seconds": {k: round(v, 4) for k, v in stages.items()},
         },
     )
     assert n_cells == 16  # 2 sites x 4 scenarios (clean included) x 2 models

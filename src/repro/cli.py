@@ -36,6 +36,7 @@ from typing import List, Optional
 
 from repro.experiments.fleet import CONTROLLER_KINDS
 from repro.experiments.runner import EXPERIMENTS, render_report, run_all, trace_needs
+from repro.metrics.roi import EmptyRegionError
 from repro.solar.datasets import available_datasets, build_dataset
 from repro.solar.io import write_csv
 from repro.solar.scenarios import DEFAULT_SCENARIO_SEED, available_scenarios
@@ -428,11 +429,16 @@ def _add_trace_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_trace(args):
-    if args.trace is not None:
-        from repro.solar.io import read_csv
+    """The ``--site`` trace, or the ``--trace`` CSV once checked to be
+    long enough to score (its length is only known after reading it)."""
+    if args.trace is None:
+        return build_dataset(args.site, n_days=args.days)
+    from repro.experiments.common import MIN_SWEEP_N_DAYS, check_n_days
+    from repro.solar.io import read_csv
 
-        return read_csv(args.trace)
-    return build_dataset(args.site, n_days=args.days)
+    trace = read_csv(args.trace)
+    check_n_days(trace.n_days, {args.command: MIN_SWEEP_N_DAYS})
+    return trace
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -501,12 +507,6 @@ def _print_exec_stats(stats_list, cache) -> None:
         if cache is not None:
             line += f" cache-hits={s.cache_hits} cache-misses={s.cache_misses}"
         line += f" elapsed={s.elapsed_s:.2f}s"
-        stages = getattr(s, "stage_seconds", None)
-        if stages:
-            line += " stages=" + ",".join(
-                f"{stage}:{seconds:.2f}s"
-                for stage, seconds in sorted(stages.items())
-            )
         print(line, file=sys.stderr)
 
 
@@ -517,9 +517,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     non-positive ``--jobs``) exit through argparse with status 2;
     unknown site/predictor names are rejected by :func:`_validate_names`
     before any work starts, printed as one clear ``error:`` line, also
-    with status 2.  Genuine library defects still traceback -- the
-    catch is confined to the up-front validation step so it can never
-    mask a bug as a configuration mistake.
+    with status 2.  Past validation, only one library error is caught:
+    :class:`~repro.metrics.roi.EmptyRegionError`, a trace whose scored
+    days all sit below the region-of-interest threshold (a property of
+    the data, e.g. a short run whose last days are overcast), printed
+    as one ``error:`` line suggesting a longer ``--days``, status 2.
+    Every other library error still tracebacks, so a bug is never
+    masked as a configuration mistake.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -527,7 +531,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
-    return _dispatch(args)
+    try:
+        return _dispatch(args)
+    except EmptyRegionError as exc:
+        print(f"error: {exc} (try a longer --days)", file=sys.stderr)
+        return 2
 
 
 def _validate_names(args) -> None:
@@ -544,7 +552,7 @@ def _validate_names(args) -> None:
     path stays a library error.)
     """
     from repro.core.registry import available_predictors
-    from repro.experiments.common import check_n_days, sites_for
+    from repro.experiments.common import MIN_SWEEP_N_DAYS, check_n_days, sites_for
     from repro.solar.datasets import samples_per_day_for
 
     sites = getattr(args, "sites", None)
@@ -583,6 +591,8 @@ def _validate_names(args) -> None:
         from repro.experiments.robustness import MIN_N_DAYS
 
         check_n_days(args.days, {"the robustness matrix": MIN_N_DAYS})
+    elif command in ("tune", "compare", "summarize") and site is not None:
+        check_n_days(args.days, {command: MIN_SWEEP_N_DAYS})
     n_slots = getattr(args, "n", None)
     if n_slots is not None:
         if site is not None:
@@ -671,10 +681,16 @@ def _dispatch(args) -> int:
             )
         return 0
 
+    if args.command in ("tune", "compare", "summarize"):
+        try:
+            trace = _load_trace(args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
     if args.command == "tune":
         from repro.core.optimizer import grid_search
 
-        trace = _load_trace(args)
         sweep = grid_search(trace, args.n, objective=args.objective)
         best = sweep.best
         print(
@@ -693,7 +709,6 @@ def _dispatch(args) -> int:
         from repro.core.registry import available_predictors, make_predictor
         from repro.metrics import evaluate_predictor
 
-        trace = _load_trace(args)
         print(f"predictor comparison on {trace.name or 'trace'} at N={args.n}:")
         scores = []
         for name in available_predictors():
@@ -708,7 +723,6 @@ def _dispatch(args) -> int:
         from repro.core.registry import make_predictor
         from repro.metrics import evaluate_predictor, format_summary, summarise
 
-        trace = _load_trace(args)
         predictor = make_predictor(args.predictor, args.n)
         run = evaluate_predictor(predictor, trace, args.n)
         print(f"{args.predictor} on {trace.name or 'trace'} at N={args.n}:")

@@ -49,7 +49,9 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.wcma import WCMABatch, WCMAParams
-from repro.metrics.roi import DEFAULT_ROI_FRACTION, DEFAULT_WARMUP_DAYS, roi_mask
+from repro.metrics.roi import (
+    DEFAULT_ROI_FRACTION, DEFAULT_WARMUP_DAYS, EmptyRegionError, roi_mask,
+)
 from repro.solar.trace import SolarTrace
 
 __all__ = [
@@ -351,7 +353,7 @@ def grid_search(
     )
     idx = np.flatnonzero(mask)
     if idx.size == 0:
-        raise ValueError("region of interest is empty; trace too short or dark")
+        raise EmptyRegionError("region of interest is empty; trace too short or dark")
 
     errors = _error_cube_fused(
         batch, days, ks, alphas, reference, idx, d_chunk=d_chunk

@@ -68,7 +68,6 @@ __all__ = [
     "format_table",
     "sites_for",
     "supported_n_for_site",
-    "warm_worker",
 ]
 
 #: Evaluation length used by the paper (days 21..365 scored).
@@ -214,30 +213,6 @@ def check_n_days(n_days: int, needs: Mapping[str, int]) -> None:
                 f"n_days={n_days} is too short for {name}, which needs "
                 f"at least {need} days"
             )
-
-
-def warm_worker(
-    measured_specs: Sequence = (),
-    traces: Sequence[Tuple[str, int]] = (),
-) -> None:
-    """Pool initializer: re-arm per-process state before the first unit.
-
-    Runs once per worker (process *or* thread backend -- it is
-    idempotent, so re-running in the parent for threads is harmless):
-
-    * re-registers the picklable measured-site specs, since the ingest
-      registry (:mod:`repro.solar.ingest.sites`) is per-process state
-      and a spawned worker starts without it;
-    * optionally pre-builds :func:`trace_for` entries for the given
-      ``(site, n_days)`` pairs, so no unit pays the trace synthesis /
-      ingestion cold start inside its timed work.
-    """
-    if measured_specs:
-        from repro.solar.ingest.sites import install_measured_sites
-
-        install_measured_sites(measured_specs)
-    for site, n_days in traces:
-        trace_for(site, n_days)
 
 
 def sites_for(sites: Optional[Sequence[str]]) -> Tuple[str, ...]:

@@ -28,7 +28,7 @@ predictors (:data:`STACKED_MATRIX_PREDICTORS`), whose cells run
 *column-stacked* as one B-column kernel slab per predictor -- units are
 independent by construction, workers own private trace caches, and both
 kinds of unit run through the shared executor
-(:func:`repro.parallel.executor.execute_units`), so the merged output
+(:func:`repro.parallel.executor.execute_passes`), so the merged output
 is byte-identical at any ``jobs``/``backend`` (the degradation column
 is computed *after* the merge in every path).  Everything is seeded
 through the scenario engine, so the same seed produces the same report.
@@ -38,15 +38,13 @@ memoised under a digest of (site, scenario, n_days, n_slots,
 predictors, seed, tune_wcma, dataset identity, code salt) *before* the
 degradation fill -- an interrupted matrix resumes from its finished
 cells and only recomputes the missing ones.  A stacked predictor is
-cached cell by cell too, through
-:func:`~repro.parallel.executor.execute_passes`: each (predictor, cell)
-result is one unit, and a predictor's missing cells run together as one
-slab pass, whose MAPEs are stored under the key of exactly that cell
-set as soon as it completes and then split into one-cell entries.  A
-resumed matrix therefore re-runs new cells, never finished slabs, and
-its stats count every cell and every stacked (predictor, cell) result
-as one unit.  The learned predictors' keys additionally fold in the
-full training config and the feature-schema version, so a
+cached cell by cell too: each (predictor, cell) result is one unit, and
+a predictor's missing cells run together as one slab pass, whose MAPEs
+are split into one-cell entries as soon as it completes -- one cache
+entry per unit.  A resumed matrix therefore re-runs only cells without
+an entry, and its stats count every cell and every stacked (predictor,
+cell) result as one unit.  The learned predictors' keys additionally
+fold in the full training config and the feature-schema version, so a
 hyper-parameter flip or feature redefinition re-runs the learned slice
 instead of serving it stale.
 
@@ -54,8 +52,8 @@ Measured sites (:mod:`repro.solar.ingest.sites`) flow through both
 harnesses by name like the synthetic six -- including their
 ``<name>-defects`` replay scenarios -- and their picklable specs are
 re-installed in pool workers via the
-:func:`~repro.experiments.common.warm_worker` initializer, so the
-parallel path works under any multiprocessing start method.
+:func:`~repro.solar.ingest.sites.install_measured_sites` initializer,
+so the parallel path works under any multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -298,12 +296,9 @@ def _slab_unit(
     once per cell.  ``training`` goes to the learned kernels only.
 
     Returns ``{"mape": [...]}`` with one MAPE per cell, in ``cells``
-    order -- wrapped in a :class:`~repro.parallel.executor.Timed` with
-    the kernel's cumulative features/refit/predict seconds when it
-    reports them, so the cached payload holds the MAPEs alone.
+    order.
     """
     from repro.core.registry import make_vector_predictor
-    from repro.parallel.executor import Timed
     from repro.solar.slots import SlotView
 
     columns = []
@@ -340,25 +335,22 @@ def _slab_unit(
             n_slots=n_slots,
         )
         mapes.append(float(run_.mape))
-    output = {"mape": mapes}
-    stages = getattr(kernel, "stage_seconds", None)
-    return Timed(output, dict(stages)) if stages else output
+    return {"mape": mapes}
 
 
 def _slab_key(
     cache,
     predictor: str,
-    cells: Sequence[Tuple[str, str]],
+    cell: Tuple[str, str],
     n_days: int,
     n_slots: int,
     seed: int,
     training: Optional[dict],
-    identities,
+    identity,
 ) -> str:
-    """Cache digest of one stacked predictor's slab over ``cells``.
+    """Cache digest of one stacked predictor's MAPE on one cell.
 
-    A one-cell key addresses that cell's own entry.  A learned
-    predictor (``training`` given) also folds in the full
+    A learned predictor (``training`` given) also folds in the full
     :class:`~repro.learn.models.TrainingConfig` and the feature-schema
     version: a hyper-parameter flip or a feature redefinition must miss
     the cache, never serve a stale learned slice.
@@ -366,11 +358,11 @@ def _slab_key(
     spec = {
         "kind": "robustness-slab",
         "predictor": predictor,
-        "cells": [list(cell) for cell in cells],
+        "cells": [list(cell)],
         "n_days": n_days,
         "n_slots": n_slots,
         "seed": seed,
-        "token": [identities[site] for site, _ in cells],
+        "token": [identity],
     }
     if training is not None:
         from repro.learn.features import FEATURE_SCHEMA_VERSION
@@ -457,6 +449,7 @@ def run(
         so a hyper-parameter change can never serve a stale cell.
     """
     from repro.parallel.executor import execute_passes
+    from repro.solar.ingest.sites import install_measured_sites, measured_specs_for
 
     site_list = sites_for(sites)
     scenario_list = scenarios_for(scenarios)
@@ -518,39 +511,21 @@ def run(
     def split(output, members):
         return [{"mape": [mape]} for mape in output["mape"]]
 
-    keys = pass_key = None
+    keys = None
     if cache is not None:
         from repro.parallel.cache import dataset_identity
 
         identities = {site: dataset_identity(site) for site in site_list}
-
-        def slab_key(name, slab_cells):
-            return _slab_key(
-                cache, name, slab_cells, n_days, n_slots, seed,
-                slab_training[name], identities,
-            )
-
         keys = [
             _cell_key(
                 cache, site, scenario, n_days, n_slots, cell_predictors,
                 seed, tune_wcma, identities[site],
-            ) if name is None else slab_key(name, [(site, scenario)])
+            ) if name is None else _slab_key(
+                cache, name, (site, scenario), n_days, n_slots, seed,
+                slab_training[name], identities[site],
+            )
             for name, (site, scenario) in units
         ]
-
-        def pass_key(members):  # only slabs span several units
-            return slab_key(units[members[0]][0], [units[i][1] for i in members])
-
-    initializer = None
-    initargs = ()
-    if backend != "thread":
-        from repro.experiments.common import warm_worker
-        from repro.solar.ingest.sites import measured_specs_for
-
-        measured = measured_specs_for(site_list)
-        if measured:
-            initializer = warm_worker
-            initargs = (measured,)
 
     values, exec_stats = execute_passes(
         _robustness_unit,
@@ -559,11 +534,10 @@ def run(
         split=split,
         cache=cache,
         keys=keys,
-        pass_key=pass_key,
         jobs=jobs,
         backend=backend,
-        initializer=initializer,
-        initargs=initargs,
+        initializer=install_measured_sites,
+        initargs=(measured_specs_for(site_list),),
     )
     if stats is not None:
         stats.append(exec_stats)

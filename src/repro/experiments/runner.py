@@ -24,13 +24,15 @@ per pass in experiment order, sharing the experiment-level memos
 :func:`~repro.experiments.common.batch_for` /
 :func:`~repro.experiments.common.sweep_for`); no pool is ever spawned
 for one worker or a single unit.  With ``jobs > 1`` each worker owns
-private copies of those memos, warmed by the
-:func:`~repro.experiments.common.warm_worker` initializer (measured
-sites re-registered before the first unit), so the pool runs one pass
-per site: every per-site unit of a site in one worker, which builds
-the site's trace and batches once and sweeps each (N, objective) once.
+private copies of those memos (measured sites are re-registered in it
+by the :func:`~repro.solar.ingest.sites.install_measured_sites`
+initializer before the first unit), so the pool runs one pass per
+site: every per-site unit of a site in one worker, which builds the
+site's trace and batches once and sweeps each (N, objective) once.
 Site-less units stay one-unit passes, and the largest pass is halved
-until every worker has one.  Units stay the cache grain either way.
+until every worker has one.  Units stay the cache grain either way: a
+site's pass is cached as its units' entries only, one per unit, so a
+pooled and an inline run write the same files.
 ``backend="thread"`` trades process isolation for zero fork/pickle
 cost on GIL-releasing numpy sweeps.
 
@@ -222,6 +224,7 @@ def run_all(
         (benchmarks and the CLI read dispatch overhead from it).
     """
     from repro.parallel.executor import execute_passes
+    from repro.solar.ingest.sites import install_measured_sites, measured_specs_for
 
     selected = tuple(only) if only is not None else EXPERIMENTS
     unknown = [e for e in selected if e not in EXPERIMENTS]
@@ -239,29 +242,16 @@ def run_all(
     if not units:
         return results
 
+    distinct = sorted({s for _, u in units if u for s in u})
     keys = None
     if cache is not None:
         from repro.parallel.cache import dataset_identity
 
-        distinct = sorted({s for _, u in units if u for s in u})
         identities = {s: dataset_identity(s) for s in distinct}
         keys = [
             _unit_key(cache, name, n_days, unit_sites, identities)
             for name, unit_sites in units
         ]
-
-    initializer = None
-    initargs = ()
-    if backend != "thread":
-        from repro.experiments.common import warm_worker
-        from repro.solar.ingest.sites import measured_specs_for
-
-        measured = measured_specs_for(
-            sorted({s for _, u in units if u for s in u})
-        )
-        if measured:
-            initializer = warm_worker
-            initargs = (measured,)
 
     args = [(name, n_days, unit_sites) for name, unit_sites in units]
     pooled = jobs is not None and jobs > 1 and backend != "inline"
@@ -277,8 +267,8 @@ def run_all(
         split=lambda output, members: output,
         jobs=jobs,
         backend=backend,
-        initializer=initializer,
-        initargs=initargs,
+        initializer=install_measured_sites,
+        initargs=(measured_specs_for(distinct),),
         cache=cache,
         keys=keys,
     )

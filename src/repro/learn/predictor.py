@@ -38,7 +38,6 @@ must never emit a negative or NaN power forecast.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Union
 
 import numpy as np
@@ -184,7 +183,6 @@ class LearnedKernel(VectorPredictor):
         self._fitted = False
         self._fit_count = 0
         self._last_fit_day = 0
-        self._stage_seconds = {"features": 0.0, "refit": 0.0, "predict": 0.0}
         if self.frozen:
             self._load_params(artifact.params)
             self._fitted = True
@@ -275,16 +273,6 @@ class LearnedKernel(VectorPredictor):
         """Number of online refits performed since reset."""
         return self._fit_count
 
-    @property
-    def stage_seconds(self) -> dict:
-        """Cumulative per-stage wall-clock since reset.
-
-        ``features`` / ``refit`` / ``predict`` seconds spent inside
-        :meth:`observe`, for the benchmark layer and the CLI's
-        ``[parallel]`` stage breakdown.
-        """
-        return dict(self._stage_seconds)
-
     def provide_slot_mean(self, mean_watts: np.ndarray) -> None:
         """Report the just-finished slot's realized ``(B,)`` mean power.
 
@@ -305,7 +293,6 @@ class LearnedKernel(VectorPredictor):
         self._pending = None
         self._fit_count = 0
         self._last_fit_day = 0
-        self._stage_seconds = {"features": 0.0, "refit": 0.0, "predict": 0.0}
         if self.frozen:
             self._load_params(self.artifact.params)
 
@@ -322,10 +309,7 @@ class LearnedKernel(VectorPredictor):
             self._y[(self._t - 1) % self._cap] = reference
 
         # 2. Features at this boundary (strictly causal).
-        t0 = time.perf_counter()
         feats = self._features.step(values)
-        t1 = time.perf_counter()
-        self._stage_seconds["features"] += t1 - t0
 
         # 3. Training-window bookkeeping and the day-boundary refit.
         if not self.frozen:
@@ -337,12 +321,9 @@ class LearnedKernel(VectorPredictor):
                     or completed - self._last_fit_day >= self.training.refit_days
                 )
                 if completed >= self.training.min_train_days and due:
-                    t0 = time.perf_counter()
                     self._refit(completed)
-                    self._stage_seconds["refit"] += time.perf_counter() - t0
 
         # 4. Predict: fitted model, else the rule-based fallback.
-        t0 = time.perf_counter()
         fallback = (
             self.fallback_alpha * values
             + (1.0 - self.fallback_alpha) * feats[:, IDX_MU_NEXT]
@@ -353,9 +334,7 @@ class LearnedKernel(VectorPredictor):
         else:
             pred = fallback
         self._t += 1
-        pred = np.maximum(pred, 0.0)
-        self._stage_seconds["predict"] += time.perf_counter() - t0
-        return pred
+        return np.maximum(pred, 0.0)
 
     def _refit(self, completed_days: int) -> None:
         """Refit every node on the trailing window (lock-step schedule).

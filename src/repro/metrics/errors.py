@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.metrics.roi import EmptyRegionError
+
 __all__ = [
     "slot_errors",
     "slot_errors_prime",
@@ -78,7 +80,7 @@ def percentage_errors(
         error = error[mask]
         reference = reference[mask]
     if error.size == 0:
-        raise ValueError("no samples selected for percentage error")
+        raise EmptyRegionError("no samples selected for percentage error")
     if (reference == 0).any():
         raise ValueError("reference contains zeros inside the selected region")
     return np.abs(error / reference)
@@ -115,5 +117,5 @@ def _select(error: np.ndarray, mask: np.ndarray) -> np.ndarray:
             raise ValueError(f"mask shape {mask.shape} != error shape {error.shape}")
         error = error[mask]
     if error.size == 0:
-        raise ValueError("no samples selected")
+        raise EmptyRegionError("no samples selected")
     return error

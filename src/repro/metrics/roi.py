@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "EmptyRegionError",
     "roi_mask",
     "roi_indices",
     "DEFAULT_ROI_FRACTION",
@@ -27,6 +28,15 @@ DEFAULT_ROI_FRACTION = 0.10
 
 #: Days excluded from scoring at the start of the trace ("days 21 to 365").
 DEFAULT_WARMUP_DAYS = 20
+
+
+class EmptyRegionError(ValueError):
+    """No sample of the trace falls in the region of interest.
+
+    A property of the data, not a bug: every scored day of a short
+    trace can sit below the threshold (an overcast stretch, a dark
+    regime), so there is nothing to average an error over.
+    """
 
 
 def roi_mask(

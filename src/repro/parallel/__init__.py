@@ -8,7 +8,8 @@ a module-level function over small picklable unit specs, merged in
 unit order.  This package owns that machinery once:
 
 * :mod:`repro.parallel.executor` -- inline / thread / process
-  backends, chunked dispatch, warm-worker initializers, stats.
+  backends, chunked dispatch, warm-worker initializers, stats, and
+  the one cache path (one entry per unit, computed in wide passes).
 * :mod:`repro.parallel.cache` -- content-addressed on-disk result
   cache (spec + dataset identity + code salt), which turns
   interrupted runs into resumable ones.
@@ -34,7 +35,6 @@ from repro.parallel.executor import (
     DEFAULT_BACKEND,
     ExecutionStats,
     execute_units,
-    run_units,
 )
 from repro.parallel.fleet import (
     DEFAULT_BLOCK_SIZE,
@@ -55,7 +55,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ExecutionStats",
     "execute_units",
-    "run_units",
     "DEFAULT_BLOCK_SIZE",
     "FleetPlan",
     "plan_blocks",

@@ -40,7 +40,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 from repro import store
 
@@ -143,15 +143,12 @@ class ResultCache:
     Entries live at ``<root>/<key[:2]>/<key>.pkl``.  ``get``/``put``
     never raise on a corrupt or half-written entry -- a bad file is a
     miss (and is removed), because the cache is a memo, not a store of
-    record.  Hit/miss counters accumulate per instance so callers can
-    report resume effectiveness.
+    record.
     """
 
     def __init__(self, root, salt: Optional[str] = None):
         self.root = Path(root)
         self.salt = salt if salt is not None else default_salt()
-        self.hits = 0
-        self.misses = 0
 
     # -- keys ----------------------------------------------------------
     def key(self, payload) -> str:
@@ -168,16 +165,13 @@ class ResultCache:
         try:
             value = store.load(path)
         except FileNotFoundError:
-            self.misses += 1
             return MISS
         except store.StoreError:
             # Damaged, foreign or hostile entry: drop it and treat as a miss.
             # Another process may race us to the same conclusion; its
             # unlink winning is fine (_unlink_quiet tolerates it).
             _unlink_quiet(path)
-            self.misses += 1
             return MISS
-        self.hits += 1
         return value
 
     def put(self, key: str, value) -> None:
@@ -256,7 +250,3 @@ class ResultCache:
             except OSError:
                 pass  # concurrent clear emptied/removed it first
         return removed
-
-    def counters(self) -> Tuple[int, int]:
-        """(hits, misses) accumulated by this instance."""
-        return self.hits, self.misses

@@ -12,23 +12,23 @@ the execution policy those harnesses used to duplicate:
   fork+pickle per submit; spawning one for one unit is pure loss).
 * **Chunked dispatch** -- units are batched into chunks so one submit
   (one pickle round-trip, one future) covers many small units; the
-  auto chunk size targets ~4 chunks per worker for load balance.
+  chunk size targets ~4 chunks per worker for load balance.
 * **Warm workers** -- an ``initializer`` runs once per worker before
-  any unit, re-installing per-process registries (measured sites) and
-  optionally pre-building per-worker trace/batch caches, so the first
-  unit of every worker does not pay a cold start.
+  any unit, re-installing per-process registries (measured sites), so
+  a spawned worker resolves the same names as the parent.
 * **Thread backend** -- for workloads dominated by numpy kernels that
   release the GIL, ``backend="thread"`` gets parallelism without any
   fork/pickle cost (and shares the parent's caches for free).
-* **Result cache** -- with a :class:`~repro.parallel.cache.ResultCache`
-  and per-unit digest keys, cached units never reach the pool and
-  fresh results are written back as they complete, which is what makes
+* **Passes and the result cache** -- :func:`execute_passes` is the one
+  cache path, and it separates the checkpoint grain from the compute
+  grain: each unit is one entry of a
+  :class:`~repro.parallel.cache.ResultCache` under its own digest key,
+  but the missing units run grouped into wide passes (a lock-step fleet
+  pass over many node blocks, one kernel slab over many matrix cells),
+  and each pass's output is split back into its units' entries as it
+  completes.  Cached units never reach the pool, which is what makes
   interrupted runs *resume* instead of recompute.
-* **Passes** -- :func:`execute_passes` separates the checkpoint grain
-  from the compute grain: units are cached one by one, but the missing
-  ones run grouped into wide passes (a lock-step fleet pass over many
-  node blocks, one kernel slab over many matrix cells), and each pass's
-  output is split back into per-unit entries as it completes.
+  :func:`execute_units` is the uncached dispatcher under it.
 
 Results always come back in unit order, whatever the backend, chunking
 or completion order -- sequential and parallel output stay
@@ -48,10 +48,8 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "ExecutionStats",
-    "Timed",
     "execute_passes",
     "execute_units",
-    "run_units",
     "split_widest",
 ]
 
@@ -74,10 +72,6 @@ class ExecutionStats:
     n_chunks: int
     dispatch_s: float  #: submit + collect overhead, excl. inline unit work
     elapsed_s: float
-    #: Optional per-stage unit-work seconds (e.g. the learned slabs'
-    #: features/refit/predict split), summed over the passes that ran
-    #: and returned a :class:`Timed`.  ``None`` when none did.
-    stage_seconds: Optional[dict] = None
 
     @property
     def dispatch_per_unit_s(self) -> float:
@@ -88,29 +82,7 @@ class ExecutionStats:
     def as_dict(self) -> dict:
         payload = asdict(self)
         payload["dispatch_per_unit_s"] = round(self.dispatch_per_unit_s, 6)
-        if self.stage_seconds is None:
-            payload.pop("stage_seconds")
-        else:
-            payload["stage_seconds"] = {
-                stage: round(seconds, 6)
-                for stage, seconds in self.stage_seconds.items()
-            }
         return payload
-
-
-@dataclass(frozen=True)
-class Timed:
-    """A pass's output plus the seconds its work spent per stage.
-
-    Returned by a pass function whose kernels time their own stages
-    (the learned slabs' features/refit/predict): :func:`execute_passes`
-    caches and splits only ``value`` -- so an entry stays a function of
-    its key -- and sums ``stage_seconds`` into the run's
-    :attr:`ExecutionStats.stage_seconds`.
-    """
-
-    value: object
-    stage_seconds: dict
 
 
 def _run_chunk(fn: Callable, chunk: List[tuple]) -> list:
@@ -130,14 +102,11 @@ def execute_units(
     *,
     jobs: Optional[int] = None,
     backend: Optional[str] = None,
-    chunk_size: Optional[int] = None,
     initializer: Optional[Callable] = None,
     initargs: tuple = (),
-    cache: Optional[ResultCache] = None,
-    keys: Optional[Sequence[Optional[str]]] = None,
     on_result: Optional[Callable[[int, object], None]] = None,
 ) -> Tuple[list, ExecutionStats]:
-    """Run ``fn(*unit)`` for every unit; results in unit order.
+    """Run ``fn(*unit)`` for every unit, uncached; results in unit order.
 
     Parameters
     ----------
@@ -151,32 +120,17 @@ def execute_units(
         One of :data:`BACKENDS` (default ``"process"``).  ``"thread"``
         suits numpy-heavy units that release the GIL; ``"inline"``
         forces in-process execution at any ``jobs``.
-    chunk_size:
-        Units per submit (default: auto, ~4 chunks per worker).
     initializer / initargs:
         Per-worker warm-up hook (process and thread backends).
-    cache / keys:
-        Optional result cache and one digest key per unit (``None``
-        entries are uncacheable).  Hits skip execution entirely;
-        misses are written back as they complete.  A cached call is
-        :func:`execute_passes` with one unit per pass.
     on_result:
-        Optional ``on_result(i, result)`` hook of an uncached call,
-        run in the calling thread as each unit completes.
+        Optional ``on_result(i, result)`` hook, run in the calling
+        thread as each unit completes.
 
     Returns
     -------
     (results, stats):
         Results in unit order and the :class:`ExecutionStats` record.
     """
-    if cache is not None and keys is not None:
-        if on_result is not None:
-            raise ValueError("on_result is only for uncached calls")
-        return execute_passes(
-            fn, len(units), lambda missing: [([i], units[i]) for i in missing],
-            cache=cache, keys=keys, jobs=jobs, backend=backend,
-            chunk_size=chunk_size, initializer=initializer, initargs=initargs,
-        )
     backend = backend if backend is not None else DEFAULT_BACKEND
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; available: {BACKENDS}")
@@ -208,7 +162,7 @@ def execute_units(
         )
         return results, stats
 
-    size = chunk_size or _auto_chunk_size(n_units, effective_jobs)
+    size = _auto_chunk_size(n_units, effective_jobs)
     starts = range(0, n_units, size)
     pool_cls = ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
     pool_kwargs = {}
@@ -252,7 +206,6 @@ def execute_passes(
     split: Optional[Callable[[object, Sequence[int]], list]] = None,
     cache: Optional[ResultCache] = None,
     keys: Optional[Sequence[Optional[str]]] = None,
-    pass_key: Optional[Callable[[Sequence[int]], str]] = None,
     **policy,
 ) -> Tuple[list, ExecutionStats]:
     """Run ``n_units`` units in caller-grouped passes, cached per unit.
@@ -266,25 +219,17 @@ def execute_passes(
     2. hands the (ascending) indices of the missing units to ``group``,
        which returns ``(members, args)`` passes covering each of them
        exactly once;
-    3. serves a multi-unit pass from its own entry when one is cached
-       (``pass_key(members)``, a key that names the members);
-    4. runs the other passes through :func:`execute_units` (``policy``
-       is its jobs/backend/chunk_size/initializer/initargs).  As each
-       pass completes, a one-unit pass's output is cached under its
-       unit key.  A multi-unit pass's output is cached under its pass
-       key first (unless ``pass_key`` is ``None``), then cut by
-       ``split(output, members)`` into member values (in ``members``
-       order), each cached under its unit key.
+    3. runs the passes through :func:`execute_units` (``policy`` is its
+       jobs/backend/initializer/initargs).  As each pass completes, its
+       output -- cut by ``split(output, members)`` into member values,
+       in ``members`` order, when it has several members -- is cached
+       one entry per unit, under the unit's key.
 
-    A kill therefore loses at most the passes in flight.  A pass killed
-    after its pass entry was stored but before any member entry was
-    resumes from the pass entry without running again; once some member
-    entries exist, the missing rest regroups under another pass key and
-    runs again.  Pass entries stay on disk beside their members' entries
-    (a second copy of those values) and are read only by such a resume;
-    a caller whose split is cheap to redo passes ``pass_key=None`` and
-    writes no second copy.  A pass output may be a :class:`Timed`, of
-    which only the value is cached.  The stats count units, not passes:
+    The cache therefore holds exactly one entry per unit, and a kill
+    loses at most the passes in flight: a pass killed before all of its
+    member entries were written runs again on resume (its missing
+    members regroup into new passes), just as if the kill had come
+    while it ran.  The stats count units, not passes:
     ``cache_hits + cache_misses == n_units``.
     """
     t_start = time.perf_counter()
@@ -300,53 +245,28 @@ def execute_passes(
             missing.append(i)
         else:
             values[i] = value
-    hits = n_units - len(missing)
     passes = list(group(missing))
     if sorted(i for members, _ in passes for i in members) != missing:
         raise ValueError("passes must cover every missing unit exactly once")
 
-    def store_members(members: Sequence[int], output) -> None:
+    def on_result(j: int, output) -> None:
         """Record a pass's member values, caching each under its unit key."""
+        members = passes[j][0]
         parts = [output] if len(members) == 1 else split(output, members)
         for i, value in zip(members, parts):
             values[i] = value
             if cached and keys[i] is not None:
                 cache.put(keys[i], value)
 
-    todo = []
-    for members, args in passes:
-        multi = cached and pass_key is not None and len(members) > 1
-        key = pass_key(members) if multi else None
-        if key is not None:
-            output = cache.get(key)
-            if output is not MISS:  # a pass killed before its split
-                store_members(members, output)
-                hits += len(members)
-                continue
-        todo.append((members, args, key))
-
-    stage_totals: dict = {}
-
-    def on_result(j: int, output) -> None:
-        members, _, key = todo[j]
-        if isinstance(output, Timed):
-            for stage, seconds in output.stage_seconds.items():
-                stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
-            output = output.value
-        if key is not None:
-            cache.put(key, output)
-        store_members(members, output)
-
     _, stats = execute_units(
-        fn, [args for _, args, _ in todo], on_result=on_result, **policy
+        fn, [args for _, args in passes], on_result=on_result, **policy
     )
     stats = replace(
         stats,
         n_units=n_units,
-        cache_hits=hits,
-        cache_misses=n_units - hits,
+        cache_hits=n_units - len(missing),
+        cache_misses=len(missing),
         elapsed_s=time.perf_counter() - t_start,
-        stage_seconds=stage_totals or None,
     )
     return values, stats
 
@@ -364,9 +284,3 @@ def split_widest(passes: List[List[int]], count: int) -> List[List[int]]:
         half = len(members) // 2
         passes[widest:widest + 1] = [members[:half], members[half:]]
     return passes
-
-
-def run_units(fn: Callable, units: Sequence[tuple], **kwargs) -> list:
-    """:func:`execute_units` without the stats record."""
-    results, _ = execute_units(fn, units, **kwargs)
-    return results

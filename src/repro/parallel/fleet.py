@@ -33,13 +33,12 @@ shared executor:
 * With a :class:`~repro.parallel.cache.ResultCache`, every finished
   block is **checkpointed** under a digest of (plan, block range,
   dtype, dataset identities, code salt), through
-  :func:`~repro.parallel.executor.execute_passes`; a pass of several
-  blocks is first stored whole under a key naming its blocks, and that
-  entry stays beside the block entries.  An interrupted fleet year
-  resumes from its completed blocks, losing at most the passes in
-  flight (up to ``MAX_PASS_NODES`` nodes each when blocks pack, one
-  block each otherwise), and re-running a grown fleet recomputes only
-  the new tail.
+  :func:`~repro.parallel.executor.execute_passes`: a pass of several
+  blocks is split and stored as its block entries only, one entry per
+  block.  An interrupted fleet year resumes from its completed blocks,
+  losing at most the passes in flight (up to ``MAX_PASS_NODES`` nodes
+  each when blocks pack, one block each otherwise), and re-running a
+  grown fleet recomputes only the new tail.
 
 ``run_fleet_blocks(plan)`` is therefore the resumable, multicore form
 of ``FleetSimulator(build_fleet_specs(...)).run_aggregate()`` -- same
@@ -199,15 +198,11 @@ def _run_block(plan: FleetPlan, start: int, stop: int, dtype: str) -> FleetAggre
     return aggregate
 
 
-def _block_key(cache: ResultCache, plan: FleetPlan, blocks: Sequence[Tuple[int, int]],
+def _block_key(cache: ResultCache, plan: FleetPlan, block: Tuple[int, int],
                dtype: str, identities: dict) -> str:
-    """Key of one block's aggregate, or of a pass naming its blocks."""
-    spec = {"plan": plan, "dtype": dtype, "datasets": identities}
-    if len(blocks) == 1:
-        spec.update(kind="fleet-block", block=list(blocks[0]))
-    else:
-        spec.update(kind="fleet-pass", blocks=[list(block) for block in blocks])
-    return cache.key(spec)
+    """Key of one block's aggregate."""
+    return cache.key({"plan": plan, "dtype": dtype, "datasets": identities,
+                      "kind": "fleet-block", "block": list(block)})
 
 
 def run_fleet_blocks(
@@ -217,7 +212,6 @@ def run_fleet_blocks(
     backend: Optional[str] = None,
     cache: Optional[ResultCache] = None,
     dtype: str = "float64",
-    chunk_size: Optional[int] = None,
 ) -> Tuple[FleetAggregate, ExecutionStats]:
     """Run the planned fleet in sharded blocks; returns (aggregate, stats).
 
@@ -231,14 +225,14 @@ def run_fleet_blocks(
         :data:`MAX_PASS_NODES` nodes (see :func:`group_blocks`); a
         larger block is its own pass, so its size is also the lock-step
         width (and sets the pass's memory).
-    jobs / backend / chunk_size:
+    jobs / backend:
         Executor policy (``None``/1 jobs = inline).  Nodes are
         independent, so sequential and parallel aggregates are
         byte-identical.
     cache:
         Optional result cache; completed passes checkpoint into it
-        block by block (a multi-block pass also keeps one entry of its
-        own) and a re-run resumes from them.  The stats count blocks.
+        block by block, one entry per block, and a re-run resumes from
+        them.  The stats count blocks.
     dtype:
         ``"float64"`` (default) or ``"float32"`` for half-width block
         metrics.
@@ -249,7 +243,7 @@ def run_fleet_blocks(
     identities = {site: dataset_identity(site) for site in plan.site_list()}
     keys = None
     if cache is not None:
-        keys = [_block_key(cache, plan, [block], dtype, identities) for block in blocks]
+        keys = [_block_key(cache, plan, block, dtype, identities) for block in blocks]
 
     def passes(missing):
         return [
@@ -257,20 +251,10 @@ def run_fleet_blocks(
             for members in group_blocks(blocks, missing, jobs)
         ]
 
-    def pass_key(members):
-        return _block_key(cache, plan, [blocks[i] for i in members], dtype, identities)
-
     def split(aggregate, members):
         return aggregate.split([blocks[i][1] - blocks[i][0] for i in members])
 
-    initializer = None
-    initargs = ()
-    if backend != "thread":
-        from repro.experiments.common import warm_worker
-        from repro.solar.ingest.sites import measured_specs_for
-
-        initializer = warm_worker
-        initargs = (measured_specs_for(plan.site_list()),)
+    from repro.solar.ingest.sites import install_measured_sites, measured_specs_for
 
     results, stats = execute_passes(
         _run_block,
@@ -279,11 +263,9 @@ def run_fleet_blocks(
         split=split,
         cache=cache,
         keys=keys,
-        pass_key=pass_key,
         jobs=jobs,
         backend=backend,
-        chunk_size=chunk_size,
-        initializer=initializer,
-        initargs=initargs,
+        initializer=install_measured_sites,
+        initargs=(measured_specs_for(plan.site_list()),),
     )
     return FleetAggregate.concat(results), stats

@@ -678,10 +678,18 @@ class TestSitePasses:
         )
         # one entry per unit (2 sites x 2 per-site experiments + table4):
         # no entry for the two-unit site passes
-        assert len(files(pooled_root)) == 5
+        assert len(files(pooled_root)) == stats[0].n_units == 5
         assert files(pooled_root) == files(inline_root)
         run_all(
             n_days=DAYS, sites=SITES, only=only, jobs=2,
             cache=pooled_cache, stats=stats,
         )
         assert (stats[1].cache_hits, stats[1].cache_misses) == (5, 0)
+        # Thread workers share the parent's memos; the files are the same.
+        thread_root = tmp_path / "thread"
+        run_all(
+            n_days=DAYS, sites=SITES, only=only, jobs=2, backend="thread",
+            cache=ResultCache(thread_root, salt="test"), stats=stats,
+        )
+        assert len(files(thread_root)) == stats[2].n_units
+        assert files(thread_root) == files(inline_root)

@@ -309,14 +309,15 @@ class TestMatrixCacheResume:
     def test_cached_rows_predate_degradation_fill(self, tmp_path):
         """Cached cell rows must carry no baked-in dMAPE: the column is
         computed after the merge, whatever subset the cells came from.
-        Stacked predictors cache nothing but MAPEs: each slab's payload
-        and the one-cell entries it is split into."""
+        Stacked predictors cache nothing but MAPEs: the one-cell entries
+        each slab is split into, one file per unit."""
         cache = self._cache(tmp_path)
         kwargs = dict(
             n_days=DAYS, sites=("PFCI",), scenarios=("dropout",), seed=7,
             tune_wcma=False,
         )
-        run(cache=cache, **kwargs)
+        stats = []
+        run(cache=cache, stats=stats, **kwargs)
 
         entries = 0
         stacked = collections.Counter()
@@ -333,9 +334,9 @@ class TestMatrixCacheResume:
                         stacked[len(payload["mape"])] += 1
                         continue
                     assert all(r["dMAPE vs clean (pp)"] is None for r in payload)
-        # 2 wcma cells; for ewma and persistence, a 2-cell slab each and
-        # its two one-cell entries.
-        assert entries == 8 and stacked == {2: 2, 1: 4}
+        # 2 wcma cells; for ewma and persistence, the two one-cell
+        # entries of each 2-cell slab, and no entry for the slabs.
+        assert entries == stats[0].n_units == 6 and stacked == {1: 4}
 
     def test_seed_and_tune_are_in_the_key(self, tmp_path):
         cache = self._cache(tmp_path)

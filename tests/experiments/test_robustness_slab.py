@@ -6,8 +6,7 @@ every (site, scenario) cell.  These tests pin the load-bearing
 guarantees: the stacked path reproduces the per-cell scalar path
 *exactly* (the goldens depend on it), learned slab cache keys fold in
 the training config and feature schema so hyper-parameter flips can
-never serve stale cells, and the learned kernels' per-stage timings
-surface through ``ExecutionStats``.
+never serve stale cells, and a slab is cached as one entry per cell.
 """
 
 import dataclasses
@@ -155,26 +154,35 @@ class TestSlabCacheKeys:
         assert wider.rows == robustness.run(scenarios=SCENARIOS, **kwargs).rows
 
     def test_finished_slab_survives_interruption(self, tmp_path, monkeypatch):
-        """A slab's payload is stored the moment it completes, so a run
-        interrupted before splitting it into one-cell entries resumes
-        without re-running the slab."""
+        """A run interrupted after its second slab finished but before
+        that slab's first one-cell entry was written keeps the first
+        slab's entries and resumes by running the second slab again:
+        the rows equal an uncached run's, and the cache ends with
+        exactly one file per cell."""
         cache = ResultCache(tmp_path / "c", salt="s")
+        kwargs = dict(
+            n_days=DAYS, sites=SITES, scenarios=SCENARIOS, predictors=("ridge", "gbm"),
+            seed=SEED, tune_wcma=False, training=FAST,
+        )
         real_put = ResultCache.put
+        written = []
 
         def put(self, key, value):
-            if isinstance(value, dict) and len(value["mape"]) == 1:
-                raise KeyboardInterrupt  # the split of the finished slab
+            if len(written) == 6:  # the split of the finished gbm slab
+                raise KeyboardInterrupt
+            written.append(key)
             real_put(self, key, value)
 
         monkeypatch.setattr(ResultCache, "put", put)
         with pytest.raises(KeyboardInterrupt):
-            self._run(cache, FAST, [])
+            robustness.run(cache=cache, **kwargs)
         monkeypatch.setattr(ResultCache, "put", real_put)
         stats = []
-        resumed = self._run(cache, FAST, stats)
-        # The slab's entry serves all 6 of its cells.
-        assert stats[0].cache_hits == 6 and stats[0].cache_misses == 0
-        assert resumed.rows == self._run(None, FAST, []).rows
+        resumed = robustness.run(cache=cache, stats=stats, **kwargs)
+        # ridge's 6 cells hit; the gbm slab runs again over its 6.
+        assert stats[0].cache_hits == 6 and stats[0].cache_misses == 6
+        assert resumed.rows == robustness.run(**kwargs).rows
+        assert cache.info()["entries"] == stats[0].n_units
 
     def test_feature_schema_version_in_key(self, tmp_path, monkeypatch):
         """A feature redefinition (schema bump) invalidates slabs."""
@@ -194,80 +202,27 @@ class TestSlabCacheKeys:
 
     def test_identical_learned_runs_write_identical_entries(self, tmp_path):
         """A cached value is a function of its key: the slab entries
-        hold MAPEs only, never the kernels' wall-clock stage timings."""
+        hold MAPEs only, never wall-clock timings."""
         entries = []
+        stats = []
         for run in ("a", "b"):
             root = tmp_path / run
             robustness.run(
                 n_days=DAYS, sites=SITES, scenarios=SCENARIOS,
-                predictors=("ridge", "gbm"), seed=SEED, tune_wcma=False,
-                training=FAST, cache=ResultCache(root, salt="s"),
+                predictors=("ridge", "gbm", "ewma"), seed=SEED, tune_wcma=False,
+                training=FAST, cache=ResultCache(root, salt="s"), stats=stats,
             )
             entries.append({
                 path.relative_to(root): path.read_bytes()
                 for path in root.glob("??/*.pkl")
             })
-        # Per predictor: one 6-cell slab entry and its 6 one-cell entries.
-        assert len(entries[0]) == 2 * (1 + 6)
+        # Two learned slabs and a baseline one, each split into its 6
+        # one-cell entries: one file per unit, none for the slabs.
+        assert len(entries[0]) == stats[0].n_units == 3 * 6
         assert entries[0] == entries[1]
 
 
 class TestSlabStats:
-    def test_stage_seconds_surfaced(self, tmp_path):
-        stats = []
-        robustness.run(
-            n_days=DAYS,
-            sites=SITES,
-            scenarios=SCENARIOS,
-            predictors=("gbm",),
-            seed=SEED,
-            tune_wcma=False,
-            training=FAST,
-            stats=stats,
-        )
-        stages = stats[0].stage_seconds
-        assert set(stages) == {"features", "refit", "predict"}
-        assert stages["refit"] > 0.0 and stages["features"] > 0.0
-        payload = stats[0].as_dict()
-        assert set(payload["stage_seconds"]) == set(stages)
-
-    def test_cached_slab_reports_no_stage_seconds(self, tmp_path, monkeypatch):
-        """A resume served from a slab's entry ran no kernel, so it
-        reports no timings (an earlier run's are not replayed)."""
-        cache = ResultCache(tmp_path / "c", salt="s")
-        kwargs = dict(
-            n_days=DAYS, sites=SITES, scenarios=SCENARIOS, predictors=("gbm",),
-            seed=SEED, tune_wcma=False, training=FAST, cache=cache,
-        )
-        real_put = ResultCache.put
-
-        def put(self, key, value):
-            if len(value["mape"]) == 1:
-                raise KeyboardInterrupt  # the split of the finished slab
-            real_put(self, key, value)
-
-        monkeypatch.setattr(ResultCache, "put", put)
-        with pytest.raises(KeyboardInterrupt):
-            robustness.run(**kwargs)
-        monkeypatch.setattr(ResultCache, "put", real_put)
-        stats = []
-        robustness.run(stats=stats, **kwargs)
-        assert stats[0].cache_hits == 6 and stats[0].stage_seconds is None
-
-    def test_no_learned_predictors_no_stage_seconds(self, tmp_path):
-        stats = []
-        robustness.run(
-            n_days=DAYS,
-            sites=SITES,
-            scenarios=SCENARIOS,
-            predictors=("ewma",),
-            seed=SEED,
-            tune_wcma=False,
-            stats=stats,
-        )
-        assert stats[0].stage_seconds is None
-        assert "stage_seconds" not in stats[0].as_dict()
-
     def test_training_dict_form_accepted(self):
         """``run(training=<dict>)`` (the CLI/service form) matches the
         dataclass form byte-for-byte."""

@@ -304,25 +304,3 @@ class TestColumnStackingExact:
                 stacked[:, b], run([b])[:, 0], err_msg=f"{model} column {b}"
             )
 
-
-class TestStageSeconds:
-    def test_observe_accumulates_stages(self, rng):
-        kernel = LearnedKernel(6, model="ridge", training=FAST)
-        assert kernel.stage_seconds == {
-            "features": 0.0, "refit": 0.0, "predict": 0.0
-        }
-        for v in rng.uniform(0, 900, size=6 * 4):
-            kernel.observe(np.array([v]))
-        stages = kernel.stage_seconds
-        assert stages["features"] > 0.0
-        assert stages["refit"] > 0.0  # min_train_days=2 passed
-        assert stages["predict"] > 0.0
-
-    def test_reset_clears_stages(self, rng):
-        kernel = LearnedKernel(6, model="ridge", training=FAST)
-        for v in rng.uniform(0, 900, size=12):
-            kernel.observe(np.array([v]))
-        kernel.reset()
-        assert kernel.stage_seconds == {
-            "features": 0.0, "refit": 0.0, "predict": 0.0
-        }

@@ -7,11 +7,9 @@ from repro.parallel.cache import ResultCache
 from repro.parallel.executor import (
     BACKENDS,
     ExecutionStats,
-    Timed,
     _auto_chunk_size,
     execute_passes,
     execute_units,
-    run_units,
 )
 
 
@@ -25,6 +23,14 @@ def _pair(a, b):
 
 UNITS = [(i,) for i in range(10)]
 EXPECTED = [i * i for i in range(10)]
+
+
+def _run_cached(fn, units, cache, keys, **policy):
+    """The executor's one cache path, one unit per pass."""
+    return execute_passes(
+        fn, len(units), lambda missing: [([i], units[i]) for i in missing],
+        cache=cache, keys=keys, **policy,
+    )
 
 
 def _forbid_pools(monkeypatch):
@@ -75,14 +81,6 @@ class TestPoolBackends:
         assert stats.jobs == 2
         assert stats.n_chunks >= 2
 
-    def test_explicit_chunk_size(self):
-        results, stats = execute_units(
-            _square, UNITS, jobs=2, backend="thread", chunk_size=3
-        )
-        assert results == EXPECTED
-        assert stats.chunk_size == 3
-        assert stats.n_chunks == 4  # 10 units in chunks of 3
-
     def test_jobs_clamped_to_pending(self):
         _, stats = execute_units(_square, UNITS[:2], jobs=16, backend="thread")
         assert stats.jobs == 2
@@ -114,13 +112,13 @@ class TestValidation:
     def test_keys_length_mismatch(self, tmp_path):
         cache = ResultCache(tmp_path, salt="s")
         with pytest.raises(ValueError, match="cache keys"):
-            execute_units(_square, UNITS, cache=cache, keys=["k"])
+            _run_cached(_square, UNITS, cache, ["k"])
 
     def test_on_result_is_for_uncached_calls(self, tmp_path):
+        # execute_units is the uncached dispatcher: it takes no cache.
         cache = ResultCache(tmp_path, salt="s")
-        keys = [cache.key({"unit": i}) for i, in UNITS]
-        with pytest.raises(ValueError, match="uncached"):
-            execute_units(_square, UNITS, cache=cache, keys=keys, on_result=print)
+        with pytest.raises(TypeError):
+            execute_units(_square, UNITS, cache=cache, keys=["k"] * len(UNITS))
         seen = []
         execute_units(_square, UNITS, on_result=lambda i, value: seen.append((i, value)))
         assert seen == list(enumerate(EXPECTED))
@@ -135,7 +133,7 @@ class TestCacheIntegration:
     def test_hits_skip_execution(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "c", salt="s")
         keys = [cache.key({"unit": i}) for i, in UNITS]
-        first, stats1 = execute_units(_square, UNITS, cache=cache, keys=keys)
+        first, stats1 = _run_cached(_square, UNITS, cache, keys)
         assert first == EXPECTED
         assert stats1.cache_misses == len(UNITS) and stats1.cache_hits == 0
         # Second run: everything served from cache, fn never called,
@@ -145,9 +143,7 @@ class TestCacheIntegration:
         def _fail(x):
             raise AssertionError("unit re-executed despite cache hit")
 
-        second, stats2 = execute_units(
-            _fail, UNITS, jobs=4, backend="process", cache=cache, keys=keys
-        )
+        second, stats2 = _run_cached(_fail, UNITS, cache, keys, jobs=4, backend="process")
         assert second == EXPECTED
         assert stats2.cache_hits == len(UNITS) and stats2.cache_misses == 0
 
@@ -162,7 +158,7 @@ class TestCacheIntegration:
             executed.append(x)
             return x * x
 
-        results, stats = execute_units(_traced, UNITS, cache=cache, keys=keys)
+        results, stats = _run_cached(_traced, UNITS, cache, keys)
         assert results == EXPECTED
         assert executed == [7, 8, 9]
         assert stats.cache_hits == 7 and stats.cache_misses == 3
@@ -170,24 +166,22 @@ class TestCacheIntegration:
     def test_none_keys_are_uncacheable(self, tmp_path):
         cache = ResultCache(tmp_path / "c", salt="s")
         keys = [cache.key({"unit": 0}), None]
-        results, stats = execute_units(_square, [(2,), (3,)], cache=cache, keys=keys)
+        results, stats = _run_cached(_square, [(2,), (3,)], cache, keys)
         assert results == [4, 9]
         assert cache.info()["entries"] == 1
 
     def test_thread_pool_writes_back(self, tmp_path):
         cache = ResultCache(tmp_path / "c", salt="s")
         keys = [cache.key({"unit": i}) for i, in UNITS]
-        execute_units(_square, UNITS, jobs=2, backend="thread", cache=cache, keys=keys)
+        _run_cached(_square, UNITS, cache, keys, jobs=2, backend="thread")
         assert cache.info()["entries"] == len(UNITS)
-        _, stats = execute_units(
-            _square, UNITS, jobs=2, backend="thread", cache=cache, keys=keys
-        )
+        _, stats = _run_cached(_square, UNITS, cache, keys, jobs=2, backend="thread")
         assert stats.cache_hits == len(UNITS)
 
 
 def _squares(lo, hi):
-    """One pass over units ``lo..hi-1``, timed as one stage."""
-    return Timed([i * i for i in range(lo, hi)], {"work": 1.0})
+    """One pass over units ``lo..hi-1``."""
+    return [i * i for i in range(lo, hi)]
 
 
 def _pairs(missing):
@@ -203,13 +197,8 @@ def _split(output, members):
 class TestPasses:
     def _run(self, cache, fn=_squares, **policy):
         keys = [cache.key({"unit": i}) for i in range(10)]
-
-        def pass_key(members):
-            return cache.key({"pass": list(members)})
-
         return execute_passes(
-            fn, 10, _pairs, split=_split, cache=cache, keys=keys,
-            pass_key=pass_key, **policy,
+            fn, 10, _pairs, split=_split, cache=cache, keys=keys, **policy
         )
 
     def test_units_cached_one_by_one_and_counted_as_units(self, tmp_path):
@@ -217,10 +206,9 @@ class TestPasses:
         values, stats = self._run(cache)
         assert values == EXPECTED
         assert (stats.n_units, stats.cache_hits, stats.cache_misses) == (10, 0, 10)
-        # 5 two-unit passes: each stored under its pass key, then split.
-        assert stats.n_chunks == 1 and cache.info()["entries"] == 10 + 5
-        # Only the value is cached; fresh passes report their timings.
-        assert stats.stage_seconds == {"work": 5.0}
+        # 5 two-unit passes, each split into its units' entries: one
+        # cache file per unit, none for the passes.
+        assert stats.n_chunks == 1 and cache.info()["entries"] == stats.n_units
 
         def _fail(lo, hi):
             raise AssertionError("a cached unit was recomputed")
@@ -228,14 +216,35 @@ class TestPasses:
         again, stats = self._run(cache, fn=_fail)
         assert again == EXPECTED
         assert (stats.n_units, stats.cache_hits, stats.cache_misses) == (10, 10, 0)
-        assert stats.stage_seconds is None
 
-    def test_pass_entry_serves_its_units(self, tmp_path):
+    def test_interrupted_split_reruns_the_pass(self, tmp_path, monkeypatch):
+        """A kill after a pass finished but before its split was stored
+        runs the pass again on resume, bitwise equal to an uncached run,
+        and the cache ends with exactly one file per unit."""
         cache = ResultCache(tmp_path / "c", salt="s")
-        cache.put(cache.key({"pass": [0, 1]}), [0, 1])
-        values, stats = self._run(cache)
-        assert values == EXPECTED
+        real_put = ResultCache.put
+
+        def put(self, key, value):
+            if value == 4:  # the first unit of the second pass
+                raise KeyboardInterrupt
+            real_put(self, key, value)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        with pytest.raises(KeyboardInterrupt):
+            self._run(cache)
+        monkeypatch.setattr(ResultCache, "put", real_put)
+        assert cache.info()["entries"] == 2
+        ran = []
+
+        def _traced(lo, hi):
+            ran.append((lo, hi))
+            return _squares(lo, hi)
+
+        values, stats = self._run(cache, fn=_traced)
+        assert ran[0] == (2, 4)  # the interrupted pass runs again
+        assert values == execute_passes(_squares, 10, _pairs, split=_split)[0]
         assert stats.cache_hits == 2 and stats.cache_misses == 8
+        assert cache.info()["entries"] == stats.n_units
 
     def test_thread_backend_matches_inline(self, tmp_path):
         values, stats = self._run(
@@ -279,6 +288,3 @@ class TestStats:
             dispatch_s=0.0, elapsed_s=0.01,
         )
         assert stats.dispatch_per_unit_s == 0.0
-
-    def test_run_units_drops_stats(self):
-        assert run_units(_square, UNITS) == EXPECTED

@@ -204,6 +204,9 @@ class TestCheckpointResume:
         cache = ResultCache(tmp_path / "c", salt="s")
         first, stats1 = run_fleet_blocks(PLAN, block_size=4, cache=cache)
         assert stats1.cache_misses == 4 and stats1.cache_hits == 0
+        # The four blocks share one pass; the cache holds one file per
+        # block and none for the pass.
+        assert cache.info()["entries"] == stats1.n_units
         second, stats2 = run_fleet_blocks(PLAN, block_size=4, cache=cache)
         assert stats2.cache_hits == 4 and stats2.cache_misses == 0
         _assert_bitwise_equal(first, second)
@@ -229,12 +232,13 @@ class TestCheckpointResume:
         _, stats = run_fleet_blocks(PLAN, block_size=7, cache=cache)
         assert stats.cache_hits == 0
 
-    def test_pass_key_names_its_blocks(self, tmp_path):
-        """Four 4-node blocks run as one pass whose entry covers nodes
-        0..13; a single 13-node block must not resolve to it."""
+    def test_a_pass_is_cached_as_its_blocks_only(self, tmp_path):
+        """Four 4-node blocks run as one pass over nodes 0..13, stored as
+        four block entries; a single 13-node block is a block of its own
+        and must not resolve to any of them."""
         cache = ResultCache(tmp_path / "c", salt="s")
         run_fleet_blocks(PLAN, block_size=4, cache=cache)
-        assert cache.info()["entries"] == 4 + 1  # the blocks and their pass
+        assert cache.info()["entries"] == 4
         _, stats = run_fleet_blocks(PLAN, block_size=PLAN.n_nodes, cache=cache)
         assert stats.cache_hits == 0
 
@@ -260,31 +264,35 @@ class TestCheckpointResume:
         uncached, _ = run_fleet_blocks(PLAN, block_size=4)
         _assert_bitwise_equal(resumed, uncached)
 
-    def test_interrupted_split_resumes_from_the_pass_entry(self, tmp_path, monkeypatch):
-        """The pass entry is stored before its split into blocks, so a
-        kill during the split resumes without simulating again."""
+    def test_interrupted_split_reruns_the_pass(self, tmp_path, monkeypatch):
+        """A kill after the pass finished but before its first block
+        entry was written resumes by simulating the pass again: the
+        result is bitwise the uncached one, and the cache ends with
+        exactly one file per block."""
         cache = ResultCache(tmp_path / "c", salt="s")
         real_put = ResultCache.put
 
         def put(self, key, value):
-            if value.n_nodes < PLAN.n_nodes:
-                raise KeyboardInterrupt  # the first block of the split
-            real_put(self, key, value)
+            raise KeyboardInterrupt  # the first block of the split
 
         monkeypatch.setattr(ResultCache, "put", put)
         with pytest.raises(KeyboardInterrupt):
             run_fleet_blocks(PLAN, block_size=4, cache=cache)
         monkeypatch.setattr(ResultCache, "put", real_put)
+        real_run = fleet_mod._run_block
+        ran = []
 
-        def simulate(*args):
-            raise AssertionError("the finished pass was simulated again")
+        def simulate(plan, start, stop, dtype):
+            ran.append((start, stop))
+            return real_run(plan, start, stop, dtype)
 
         monkeypatch.setattr(fleet_mod, "_run_block", simulate)
         resumed, stats = run_fleet_blocks(PLAN, block_size=4, cache=cache)
-        assert stats.cache_hits == 4 and stats.cache_misses == 0
+        assert ran == [(0, PLAN.n_nodes)]
+        assert stats.cache_hits == 0 and stats.cache_misses == 4
         monkeypatch.undo()
         _assert_bitwise_equal(resumed, run_fleet_blocks(PLAN, block_size=4)[0])
-        assert cache.info()["entries"] == 4 + 1
+        assert cache.info()["entries"] == stats.n_units
 
     def test_dtype_is_in_the_key(self, tmp_path):
         cache = ResultCache(tmp_path / "c", salt="s")

@@ -128,6 +128,10 @@ class TestTraceLengthBoundaries:
             (["plot", "fig2"], 6),
             (["robustness", "--sites", "PFCI", "--scenarios", "dropout",
               "--no-fleet"], 22),
+            # At 21 days HSU's one scored day lies below the threshold.
+            (["tune", "--site", "HSU"], 22),
+            (["compare", "--site", "HSU"], 22),
+            (["summarize", "--site", "HSU"], 22),
         ],
     )
     def test_shortest_trace(self, argv, shortest, capsys):
@@ -155,6 +159,38 @@ class TestTraceLengthBoundaries:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_days=10 is too short" in err
+
+    @pytest.mark.parametrize("command", ["tune", "compare", "summarize"])
+    def test_short_trace_csv_exits_cleanly(self, command, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        main(["export-trace", "HSU", "--days", "21", "--out", str(path)])
+        capsys.readouterr()
+        assert main([command, "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "n_days=21 is too short" in err
+
+
+class TestEmptyRegionExitsCleanly:
+    """A trace long enough to score can still leave nothing in the
+    region of interest: ORNL's regime-shift cell scores only dark days
+    at 22 days.  That is one error line and status 2, whichever check
+    raised it and in whichever process."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--no-tune", "--predictors", "ewma"], ["--jobs", "2"]],
+        ids=["tuned-sweep", "stacked-ewma", "process-pool"],
+    )
+    def test_dark_cell(self, extra, capsys):
+        code = main(
+            ["robustness", "--days", "22", "--sites", "ORNL", "--scenarios",
+             "regime-shift", "--no-fleet", "--no-cache"] + extra
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "try a longer --days" in err
 
 
 class TestCommands:
