@@ -35,9 +35,13 @@ import time
 import numpy as np
 
 from conftest import record
+from repro.core.registry import make_predictor
 from repro.experiments import robustness
+from repro.experiments.common import trace_for
 from repro.learn.features import N_FEATURES
 from repro.learn.models import TrainingConfig, fit_model_batch, unstack_params
+from repro.metrics.evaluate import evaluate_predictor
+from repro.solar.scenarios import make_scenario
 from tests.oracles.learn import fit_model_reference
 
 IS_CI = bool(os.environ.get("CI"))
@@ -163,25 +167,26 @@ def test_bench_learn_matrix_throughput():
     stacked = robustness.run(**MATRIX_KWARGS)
     stacked_s = time.perf_counter() - start
 
-    # The pre-stacking baseline: force every learned predictor through
-    # the per-cell scalar path by emptying the stacked set.
-    original = robustness.STACKED_MATRIX_PREDICTORS
-    robustness.STACKED_MATRIX_PREDICTORS = ()
-    try:
-        start = time.perf_counter()
-        per_cell = robustness.run(**MATRIX_KWARGS)
-        per_cell_s = time.perf_counter() - start
-    finally:
-        robustness.STACKED_MATRIX_PREDICTORS = original
+    # The pre-stacking baseline: every cell scored by its own scalar
+    # face, one perturbed trace per cell, as the per-cell matrix did.
+    start = time.perf_counter()
+    per_cell = {}
+    for site in MATRIX_KWARGS["sites"]:
+        for scenario in ("clean",) + MATRIX_KWARGS["scenarios"]:
+            perturbed = make_scenario(scenario, seed=MATRIX_KWARGS["seed"]).apply(
+                trace_for(site, MATRIX_KWARGS["n_days"])
+            )
+            for name in MATRIX_KWARGS["predictors"]:
+                per_cell[scenario, site, name] = evaluate_predictor(
+                    make_predictor(name, 48), perturbed, 48
+                ).mape
+    per_cell_s = time.perf_counter() - start
 
-    assert stacked.rows == per_cell.rows, (
-        "stacked and per-cell learned matrices must be byte-identical"
-    )
-    n_cells = sum(
-        1
+    assert {
+        (row["scenario"], row["site"], row["predictor"]): row["mape"]
         for row in stacked.rows
-        if row["predictor"] in robustness.STACKED_MATRIX_PREDICTORS
-    )
+    } == per_cell, "stacked and per-cell learned MAPEs must be bitwise equal"
+    n_cells = len(stacked.rows)
     print(
         f"\nlearned matrix ({n_cells} cells): stacked {stacked_s:.2f}s "
         f"({n_cells / stacked_s:.2f} cells/s) vs per-cell {per_cell_s:.2f}s "

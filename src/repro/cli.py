@@ -430,7 +430,8 @@ def _add_trace_source(parser: argparse.ArgumentParser) -> None:
 
 def _load_trace(args):
     """The ``--site`` trace, or the ``--trace`` CSV once checked to be
-    long enough to score (its length is only known after reading it)."""
+    long enough to score and divisible into ``--n`` slots (its length
+    and rate are only known after reading it)."""
     if args.trace is None:
         return build_dataset(args.site, n_days=args.days)
     from repro.experiments.common import MIN_SWEEP_N_DAYS, check_n_days
@@ -438,6 +439,11 @@ def _load_trace(args):
 
     trace = read_csv(args.trace)
     check_n_days(trace.n_days, {args.command: MIN_SWEEP_N_DAYS})
+    if trace.samples_per_day % args.n:
+        raise ValueError(
+            f"N={args.n} does not divide samples per day "
+            f"({trace.samples_per_day}) of trace {trace.name!r}"
+        )
     return trace
 
 
@@ -547,9 +553,7 @@ def _validate_names(args) -> None:
     shorter than the selected experiments can score are checked here,
     eagerly, against the same validators the library uses -- for
     ``serve``, by constructing the service, which also refuses
-    predictors it cannot checkpoint.  (An ``--n`` paired with a
-    ``--trace`` CSV can only be checked after the file is read, so that
-    path stays a library error.)
+    predictors it cannot checkpoint.
     """
     from repro.core.registry import available_predictors
     from repro.experiments.common import MIN_SWEEP_N_DAYS, check_n_days, sites_for

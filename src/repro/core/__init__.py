@@ -11,11 +11,12 @@
 * :mod:`repro.core.dynamic` -- clairvoyant per-prediction parameter
   selection (Section IV-C, Table V).
 * :mod:`repro.core.adaptive` -- *extension*: realizable online dynamic
-  parameter selection (follow-the-leader, epsilon-greedy).
+  parameter selection (follow-the-leader, softmin, epsilon-greedy,
+  Hedge), one lock-step kernel per rule.
 * :mod:`repro.core.registry` -- predictor factories by name.
 """
 
-from repro.core.base import OnlinePredictor, VectorPredictor
+from repro.core.base import OnlinePredictor, ScalarColumns, VectorPredictor
 from repro.core.wcma import WCMAParams, WCMAPredictor, WCMAVector, WCMABatch
 from repro.core.ewma import EWMAPredictor, EWMAVector
 from repro.core.baselines import (
@@ -35,13 +36,12 @@ from repro.core.registry import (
     available_predictors,
     make_predictor,
     make_vector_predictor,
-    supports_vector,
-    vector_predictors,
 )
 
 __all__ = [
     "OnlinePredictor",
     "VectorPredictor",
+    "ScalarColumns",
     "WCMAParams",
     "WCMAPredictor",
     "WCMAVector",
@@ -67,8 +67,6 @@ __all__ = [
     "FollowTheLeaderSelector",
     "EpsilonGreedySelector",
     "available_predictors",
-    "vector_predictors",
-    "supports_vector",
     "make_predictor",
     "make_vector_predictor",
 ]

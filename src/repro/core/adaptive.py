@@ -6,9 +6,12 @@ more than half, and concludes "it is promising to develop dynamic
 parameters selection algorithms".  This module builds that future work:
 *causal* selectors that choose among an ensemble of WCMA experts (one
 per ``(alpha, D, K)`` grid point) using only information available on
-the node at prediction time.  The ensemble is a single
-:class:`~repro.core.wcma.WCMAVector` whose column ``b`` runs
-``grid[b]``, so all experts advance in one kernel call per slot.
+the node at prediction time.  Each selector is a lock-step kernel over
+``B`` nodes (:class:`SelectorVector`) whose ``B x E`` experts are the
+columns of one :class:`~repro.core.wcma.WCMAVector` (column ``b*E + e``
+runs ``grid[e]`` for node ``b``), so every expert of every node
+advances in one kernel call per slot; the scalar selectors are the
+kernels' ``B == 1`` faces.
 
 The feedback signal is causal either way: by default the realized
 *slot mean* power (``feedback="slot_mean"``) -- a harvesting node
@@ -16,7 +19,7 @@ integrates its input current anyway, so the just-finished slot's mean
 is known at the next boundary, and it is exactly the quantity MAPE
 scores against (Eq. 7) -- or, for a node without energy metering, the
 next start-of-slot sample (``feedback="sample"``, Eq. 6 alignment).
-Selectors:
+Selectors (each ``...Selector`` is the face of its ``...Vector``):
 
 * :class:`FollowTheLeaderSelector` -- pick the expert with the smallest
   discounted cumulative absolute error so far.
@@ -36,15 +39,20 @@ between the static optimum and the clairvoyant bound of Table V.
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.base import OnlinePredictor
+from repro.core.base import ScalarFace, VectorPredictor, as_batch
 from repro.core.optimizer import DEFAULT_ALPHAS, DEFAULT_KS
 from repro.core.wcma import MU_EPS, WCMAParams, WCMAVector
 
 __all__ = [
+    "SelectorVector",
+    "FollowTheLeaderVector",
+    "SoftminVector",
+    "EpsilonGreedyVector",
+    "HedgeVector",
     "AdaptiveSelector",
     "FollowTheLeaderSelector",
     "SoftminSelector",
@@ -70,14 +78,6 @@ COMPACT_KS = (3, 5, 7, 10)
 COMPACT_DAYS = (5, 10, 15)
 
 
-def _default_grid(days: int) -> List[WCMAParams]:
-    return [
-        WCMAParams(alpha=a, days=days, k=k)
-        for a in DEFAULT_ALPHAS
-        for k in DEFAULT_KS
-    ]
-
-
 def compact_grid(
     days: Sequence[int] = COMPACT_DAYS,
     alphas: Sequence[float] = COMPACT_ALPHAS,
@@ -97,16 +97,28 @@ def compact_grid(
     ]
 
 
-class AdaptiveSelector(OnlinePredictor):
-    """Base class: a kernel of WCMA experts plus a selection rule.
+def _blend(weights: np.ndarray, predictions: np.ndarray) -> np.ndarray:
+    """Each node's weighted expert average: one length-``E`` dot product
+    per row, the reduction a lone node's ``np.dot`` runs."""
+    return np.matmul(weights[:, None, :], predictions[:, :, None])[:, 0, 0]
 
-    Subclasses implement :meth:`_select`, mapping the current expert
-    scores to either an expert index or a weight vector.
+
+class SelectorVector(VectorPredictor):
+    """Base kernel: ``B`` nodes, each choosing among the same ``E`` experts.
+
+    Subclasses implement :meth:`_select`, mapping the ``(B, E)`` expert
+    predictions to ``(B,)`` predictions (recording each node's single
+    choice, if any), and may hook :meth:`_learn` for per-step loss
+    updates.  Every node keeps its own row of expert scores, its own
+    running reference peak and its own pending slot mean, so node ``b``
+    of a ``B``-node kernel equals a lone selector bit for bit.
 
     Parameters
     ----------
     n_slots:
         Slots per day (``N``).
+    batch_size:
+        Nodes stepped per ``observe`` call (``B``).
     days:
         History depth ``D`` shared by all experts (the paper fixes D in
         its dynamic study).
@@ -117,14 +129,15 @@ class AdaptiveSelector(OnlinePredictor):
         ``(0, 1]``; values below 1 make the selector forget old weather.
     feedback:
         ``"slot_mean"`` (default) scores experts against the realized
-        slot mean supplied via :meth:`provide_slot_mean` (falling back
-        to the sample when none was provided); ``"sample"`` always uses
-        the next start-of-slot sample.
+        slot means supplied via :meth:`provide_slot_mean` (falling back
+        to the samples when none were provided); ``"sample"`` always
+        uses the next start-of-slot samples.
     """
 
     def __init__(
         self,
         n_slots: int,
+        batch_size: int,
         days: int = 10,
         grid: Optional[Sequence[WCMAParams]] = None,
         discount: float = 0.98,
@@ -132,6 +145,8 @@ class AdaptiveSelector(OnlinePredictor):
     ):
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         if not 0.0 < discount <= 1.0:
             raise ValueError(f"discount must be in (0, 1], got {discount}")
         if feedback not in ("slot_mean", "sample"):
@@ -139,108 +154,85 @@ class AdaptiveSelector(OnlinePredictor):
                 f"feedback must be 'slot_mean' or 'sample', got {feedback!r}"
             )
         self.n_slots = n_slots
-        self.days = days
-        self.grid: Tuple[WCMAParams, ...] = tuple(
-            grid if grid is not None else _default_grid(days)
-        )
+        self.batch_size = batch_size
+        if grid is None:
+            grid = [WCMAParams(a, days, k) for a in DEFAULT_ALPHAS for k in DEFAULT_KS]
+        self.grid = tuple(grid)
         if not self.grid:
             raise ValueError("expert grid must be non-empty")
         self.discount = discount
         self.feedback = feedback
-        self._experts = WCMAVector(n_slots, self.grid, len(self.grid))
-        self._scores = np.zeros(len(self.grid), dtype=float)
-        self._last_predictions: Optional[np.ndarray] = None
-        self._last_choice: Optional[int] = None
-        self._pending_slot_mean: Optional[float] = None
-        self._reference_peak = 0.0
+        self._experts = WCMAVector(
+            n_slots, self.grid * batch_size, batch_size * len(self.grid)
+        )
+        self._nodes = np.arange(batch_size)
+        self.reset()
 
-    # ------------------------------------------------------------------
     @property
     def uses_slot_mean_feedback(self) -> bool:
         """True when evaluators should call :meth:`provide_slot_mean`."""
         return self.feedback == "slot_mean"
 
-    def provide_slot_mean(self, mean_watts: float) -> None:
-        """Report the just-finished slot's realized mean power.
-
-        Called (by the node or the evaluator) at a slot boundary,
-        *before* ``observe`` for that boundary.
-        """
-        if mean_watts < 0:
-            raise ValueError(f"mean power must be non-negative, got {mean_watts}")
-        self._pending_slot_mean = float(mean_watts)
+    def provide_slot_mean(self, mean_watts: np.ndarray) -> None:
+        """Report the just-finished slot's realized ``(B,)`` mean power,
+        at a slot boundary, *before* ``observe`` for that boundary."""
+        self._pending = as_batch(mean_watts, self.batch_size).copy()
 
     def reset(self) -> None:
         self._experts.reset()
-        self._scores.fill(0.0)
-        self._last_predictions = None
-        self._last_choice = None
-        self._pending_slot_mean = None
-        self._reference_peak = 0.0
+        self._scores = np.zeros((self.batch_size, len(self.grid)))
+        self._peak = np.zeros(self.batch_size)
+        self._pending: Optional[np.ndarray] = None
+        self._predictions: Optional[np.ndarray] = None
+        self._last_choice: Optional[np.ndarray] = None
 
-    def observe(self, value: float) -> float:
-        if value < 0:
-            raise ValueError(f"power sample must be non-negative, got {value}")
+    def observe(self, values: np.ndarray) -> np.ndarray:
+        values = as_batch(values, self.batch_size)
         # 1. Feedback: score every expert's previous prediction against
         #    the realized slot mean (when available) or the sample just
         #    measured (full-information setting either way).
-        reference = value
-        if self._pending_slot_mean is not None:
-            reference = self._pending_slot_mean
-            self._pending_slot_mean = None
-        if self._last_predictions is not None:
+        reference = values if self._pending is None else self._pending
+        self._pending = None
+        if self._predictions is not None:
             # Relative loss, mirroring the MAPE objective: references
-            # below the ROI floor (10 % of the running peak) are skipped,
-            # exactly as Section III skips them when scoring.  Night-level
-            # references (below MU_EPS) never count, so a relative loss
-            # cannot overflow.
-            self._reference_peak = max(self._reference_peak, reference)
-            floor = max(0.1 * self._reference_peak, MU_EPS)
-            if reference >= floor:
-                losses = np.abs(self._last_predictions - reference) / reference
-                self._scores *= self.discount
-                self._scores += losses
-                self._learn(losses)
+            # below the ROI floor (10 % of the node's running peak) are
+            # skipped, exactly as Section III skips them when scoring.
+            # Night-level references (below MU_EPS) never count, so a
+            # relative loss cannot overflow.
+            np.maximum(self._peak, reference, out=self._peak)
+            floor = np.maximum(0.1 * self._peak, MU_EPS)
+            rows = np.flatnonzero(reference >= floor)
+            if rows.size:
+                ref = reference[rows, None]
+                losses = np.abs(self._predictions[rows] - ref) / ref
+                self._scores[rows] = self._scores[rows] * self.discount + losses
+                self._learn(rows, losses)
 
-        # 2. Every expert predicts the next boundary: column b of the
-        #    kernel runs grid[b].
-        predictions = self._experts.observe(np.full(len(self.grid), value))
-        self._last_predictions = predictions
+        # 2. Every expert of every node predicts the next boundary.
+        self._predictions = self._experts.observe(
+            np.repeat(values, len(self.grid))
+        ).reshape(self.batch_size, -1)
 
         # 3. Selection rule.
-        prediction = self._select(predictions)
-        return float(prediction)
+        return self._select(self._predictions)
 
-    # ------------------------------------------------------------------
-    @property
-    def last_choice(self) -> Optional[int]:
-        """Index of the expert chosen at the previous step (if single)."""
-        return self._last_choice
-
-    @property
-    def chosen_params(self) -> Optional[WCMAParams]:
-        """Parameters of the most recently chosen expert (if single)."""
-        if self._last_choice is None:
-            return None
-        return self.grid[self._last_choice]
-
-    def _learn(self, losses: np.ndarray) -> None:
-        """Hook for subclasses needing per-step loss updates."""
+    def _learn(self, rows: np.ndarray, losses: np.ndarray) -> None:
+        """Hook for rules needing per-step loss updates of ``rows``."""
 
     @abc.abstractmethod
-    def _select(self, predictions: np.ndarray) -> float:
-        """Combine/choose among expert ``predictions`` for this step."""
+    def _select(self, predictions: np.ndarray) -> np.ndarray:
+        """Combine/choose among each node's expert ``predictions``."""
 
 
-class FollowTheLeaderSelector(AdaptiveSelector):
-    """Always follow the expert with the lowest discounted total loss."""
+class FollowTheLeaderVector(SelectorVector):
+    """Every node follows its expert with the lowest discounted total loss."""
 
-    def _select(self, predictions: np.ndarray) -> float:
-        self._last_choice = int(np.argmin(self._scores))
-        return predictions[self._last_choice]
+    def _select(self, predictions: np.ndarray) -> np.ndarray:
+        self._last_choice = np.argmin(self._scores, axis=1)
+        return predictions[self._nodes, self._last_choice]
 
 
-class SoftminSelector(FollowTheLeaderSelector):
+class SoftminVector(SelectorVector):
     """Softmin-weighted blend of the leaderboard (smoothed FTL).
 
     Predicts the expert average weighted by
@@ -253,105 +245,137 @@ class SoftminSelector(FollowTheLeaderSelector):
     ``last_choice`` still reports the current single leader.
     """
 
-    def __init__(
-        self,
-        n_slots: int,
-        days: int = 10,
-        grid: Optional[Sequence[WCMAParams]] = None,
-        discount: float = 0.97,
-        tau: float = 0.25,
-        feedback: str = "slot_mean",
-    ):
-        super().__init__(
-            n_slots, days=days, grid=grid, discount=discount, feedback=feedback
-        )
+    def __init__(self, n_slots: int, batch_size: int, tau: float = 0.25,
+                 discount: float = 0.97, **kwargs):
         if tau <= 0:
             raise ValueError(f"tau must be positive, got {tau}")
         self.tau = tau
+        super().__init__(n_slots, batch_size, discount=discount, **kwargs)
 
-    def _select(self, predictions: np.ndarray) -> float:
-        shifted = self._scores - self._scores.min()
-        weights = np.exp(-shifted / self.tau)
-        weights /= weights.sum()
-        self._last_choice = int(np.argmin(self._scores))
-        return float(np.dot(weights, predictions))
+    def _select(self, predictions: np.ndarray) -> np.ndarray:
+        scores = self._scores
+        weights = np.exp(-(scores - scores.min(axis=1, keepdims=True)) / self.tau)
+        weights /= weights.sum(axis=1, keepdims=True)
+        self._last_choice = np.argmin(scores, axis=1)
+        return _blend(weights, predictions)
 
 
-class EpsilonGreedySelector(AdaptiveSelector):
-    """Follow the leader, explore uniformly with probability ``epsilon``."""
+class EpsilonGreedyVector(SelectorVector):
+    """Follow the leader, explore uniformly with probability ``epsilon``.
 
-    def __init__(
-        self,
-        n_slots: int,
-        days: int = 10,
-        grid: Optional[Sequence[WCMAParams]] = None,
-        discount: float = 0.98,
-        epsilon: float = 0.05,
-        seed: int = 0,
-        feedback: str = "slot_mean",
-    ):
-        super().__init__(
-            n_slots, days=days, grid=grid, discount=discount, feedback=feedback
-        )
+    Every node draws from its own ``default_rng(seed)``, exactly what a
+    lone selector with that seed draws.
+    """
+
+    def __init__(self, n_slots: int, batch_size: int, epsilon: float = 0.05,
+                 seed: int = 0, **kwargs):
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         self.epsilon = epsilon
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
+        super().__init__(n_slots, batch_size, **kwargs)
 
     def reset(self) -> None:
         super().reset()
-        self._rng = np.random.default_rng(self._seed)
+        self._rngs = [np.random.default_rng(self.seed) for _ in self._nodes]
 
-    def _select(self, predictions: np.ndarray) -> float:
-        if self._rng.random() < self.epsilon:
-            self._last_choice = int(self._rng.integers(len(self.grid)))
-        else:
-            self._last_choice = int(np.argmin(self._scores))
-        return predictions[self._last_choice]
+    def _select(self, predictions: np.ndarray) -> np.ndarray:
+        choice = np.argmin(self._scores, axis=1)
+        for b, rng in enumerate(self._rngs):
+            if rng.random() < self.epsilon:
+                choice[b] = rng.integers(len(self.grid))
+        self._last_choice = choice
+        return predictions[self._nodes, choice]
 
 
-class HedgeSelector(AdaptiveSelector):
+class HedgeVector(SelectorVector):
     """Exponential-weights blend of all experts (full-information Hedge).
 
     The prediction is the weight-averaged ensemble prediction; weights
     decay exponentially in each expert's (scale-normalised) loss.
     """
 
-    def __init__(
-        self,
-        n_slots: int,
-        days: int = 10,
-        grid: Optional[Sequence[WCMAParams]] = None,
-        discount: float = 1.0,
-        learning_rate: float = 2.0,
-        feedback: str = "slot_mean",
-    ):
-        super().__init__(
-            n_slots, days=days, grid=grid, discount=discount, feedback=feedback
-        )
+    def __init__(self, n_slots: int, batch_size: int, learning_rate: float = 2.0,
+                 discount: float = 1.0, **kwargs):
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
-        self._log_weights = np.zeros(len(self.grid), dtype=float)
-        self._loss_scale = 1.0
+        super().__init__(n_slots, batch_size, discount=discount, **kwargs)
 
     def reset(self) -> None:
         super().reset()
-        self._log_weights = np.zeros(len(self.grid), dtype=float)
-        self._loss_scale = 1.0
+        self._log_weights = np.zeros_like(self._scores)
+        self._loss_scale = np.ones(self.batch_size)
 
-    def _learn(self, losses: np.ndarray) -> None:
-        # Normalise losses by a running scale so learning_rate is
-        # dimensionless (irradiance is O(1000) W/m^2).
-        peak = float(losses.max())
-        if peak > self._loss_scale:
-            self._loss_scale = peak
-        self._log_weights -= self.learning_rate * losses / self._loss_scale
-        self._log_weights -= self._log_weights.max()  # renormalise
+    def _learn(self, rows: np.ndarray, losses: np.ndarray) -> None:
+        # Normalise losses by a running per-node scale so learning_rate
+        # is dimensionless (irradiance is O(1000) W/m^2).
+        peak = losses.max(axis=1)
+        scale = self._loss_scale[rows]
+        scale = np.where(peak > scale, peak, scale)
+        self._loss_scale[rows] = scale
+        log_w = self._log_weights[rows] - self.learning_rate * losses / scale[:, None]
+        self._log_weights[rows] = log_w - log_w.max(axis=1, keepdims=True)
 
-    def _select(self, predictions: np.ndarray) -> float:
+    def _select(self, predictions: np.ndarray) -> np.ndarray:
         weights = np.exp(self._log_weights)
-        weights /= weights.sum()
-        self._last_choice = int(np.argmax(weights))
-        return float(np.dot(weights, predictions))
+        weights /= weights.sum(axis=1, keepdims=True)
+        self._last_choice = np.argmax(weights, axis=1)
+        return _blend(weights, predictions)
+
+
+class AdaptiveSelector(ScalarFace):
+    """One node of a selector kernel: the kernel at ``B == 1``.
+
+    Takes its kernel's keywords (``days``, ``grid``, ``discount``,
+    ``feedback`` and the rule's own) and validates them the same way.
+    """
+
+    #: The selector kernel this face runs at ``B == 1``.
+    _kernel_class: type = SelectorVector
+
+    def __init__(self, n_slots: int, **kwargs):
+        super().__init__(self._kernel_class(n_slots, 1, **kwargs))
+        self.grid = self._kernel.grid
+
+    @property
+    def expert_predictions(self) -> Optional[np.ndarray]:
+        """Every expert's latest prediction, ``(E,)`` in grid order."""
+        predictions = self._kernel._predictions
+        return None if predictions is None else predictions[0]
+
+    @property
+    def last_choice(self) -> Optional[int]:
+        """Index of the expert chosen at the previous step (if single)."""
+        choice = self._kernel._last_choice
+        return None if choice is None else int(choice[0])
+
+    @property
+    def chosen_params(self) -> Optional[WCMAParams]:
+        """Parameters of the most recently chosen expert (if single)."""
+        choice = self.last_choice
+        return None if choice is None else self.grid[choice]
+
+
+class FollowTheLeaderSelector(AdaptiveSelector):
+    """The ``B == 1`` face of :class:`FollowTheLeaderVector`."""
+
+    _kernel_class = FollowTheLeaderVector
+
+
+class SoftminSelector(AdaptiveSelector):
+    """The ``B == 1`` face of :class:`SoftminVector`."""
+
+    _kernel_class = SoftminVector
+
+
+class EpsilonGreedySelector(AdaptiveSelector):
+    """The ``B == 1`` face of :class:`EpsilonGreedyVector`."""
+
+    _kernel_class = EpsilonGreedyVector
+
+
+class HedgeSelector(AdaptiveSelector):
+    """The ``B == 1`` face of :class:`HedgeVector`."""
+
+    _kernel_class = HedgeVector

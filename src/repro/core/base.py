@@ -17,7 +17,7 @@ boundary -- ``ê(n+1)`` in the paper's notation).
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "OnlinePredictor",
     "VectorPredictor",
     "ScalarFace",
+    "ScalarColumns",
     "FleetDayHistory",
 ]
 
@@ -120,7 +121,8 @@ class VectorPredictor(abc.ABC):
     other nodes, bit for bit.  Every kernel-backed scalar predictor is
     the kernel's :class:`ScalarFace`, so it equals any column of a
     ``B``-node kernel exactly (``tests/management/test_fleet_parity.py``
-    pins this with zero tolerance).
+    pins this with zero tolerance); any other predictor steps as
+    :class:`ScalarColumns`.
     """
 
     #: Slots per day this predictor was configured for.
@@ -175,8 +177,11 @@ class ScalarFace(OnlinePredictor):
     this and hands its ``batch_size=1`` kernel to ``__init__``; every
     observation then runs the kernel's code, so the scalar and vector
     forms cannot drift apart.  WCMA, EWMA, persistence, previous-day,
-    moving-average and the learned tier are all faces.
+    moving-average, the learned tier and the adaptive selectors are all
+    faces.
 
+    Slot-mean feedback is the kernel's: a face asks for
+    :meth:`provide_slot_mean` exactly when its kernel does.
     Checkpointing is opt-in per face: a face that can resume defines
     ``state_dict``/``load_state_dict`` itself (WCMA and EWMA keep their
     single-node layouts, the learned face delegates to its kernel).
@@ -189,12 +194,63 @@ class ScalarFace(OnlinePredictor):
         self.n_slots = kernel.n_slots
         self._buf = np.zeros(1, dtype=float)
 
+    @property
+    def uses_slot_mean_feedback(self) -> bool:
+        """True when evaluators should call :meth:`provide_slot_mean`."""
+        return getattr(self._kernel, "uses_slot_mean_feedback", False)
+
+    def provide_slot_mean(self, mean_watts: float) -> None:
+        """Report the just-finished slot's realized mean power."""
+        self._kernel.provide_slot_mean(np.array([float(mean_watts)]))
+
     def reset(self) -> None:
         self._kernel.reset()
 
     def observe(self, value: float) -> float:
         self._buf[0] = value
         return float(self._kernel.observe(self._buf)[0])
+
+
+class ScalarColumns(VectorPredictor):
+    """``B`` scalar predictors side by side, column ``b`` running
+    ``predictors[b]``: the lock-step form of any
+    :class:`OnlinePredictor` without a kernel.
+
+    Each column runs exactly its scalar code, slot-mean feedback
+    included (:meth:`provide_slot_mean` reaches only the columns that
+    ask for it).
+    """
+
+    def __init__(self, predictors: Sequence[OnlinePredictor]):
+        if not predictors:
+            raise ValueError("need at least one predictor")
+        self.predictors = list(predictors)
+        self.n_slots = self.predictors[0].n_slots
+        self.batch_size = len(self.predictors)
+
+    @property
+    def uses_slot_mean_feedback(self) -> bool:
+        """True when any column wants :meth:`provide_slot_mean`."""
+        return any(
+            getattr(p, "uses_slot_mean_feedback", False) for p in self.predictors
+        )
+
+    def provide_slot_mean(self, mean_watts: np.ndarray) -> None:
+        """Forward each column's realized slot mean to its predictor."""
+        for predictor, mean in zip(self.predictors, mean_watts):
+            if getattr(predictor, "uses_slot_mean_feedback", False):
+                predictor.provide_slot_mean(float(mean))
+
+    def reset(self) -> None:
+        for predictor in self.predictors:
+            predictor.reset()
+
+    def observe(self, values: np.ndarray) -> np.ndarray:
+        values = as_batch(values, self.batch_size)
+        return np.array(
+            [p.observe(float(v)) for p, v in zip(self.predictors, values)],
+            dtype=float,
+        )
 
 
 def as_batch(values, batch_size: int) -> np.ndarray:

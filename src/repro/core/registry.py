@@ -14,21 +14,17 @@ defaults:
 
 plus the learned tier (``ridge``, ``gbm`` --
 :class:`~repro.learn.predictor.LearnedPredictor`, online self-fitting
-unless constructed with a fitted ``artifact=``) and the Table-V
-adaptive selectors (``adaptive``, ``adaptive-greedy``, ``hedge`` --
-:mod:`repro.core.adaptive` on the compact expert grid).
+unless constructed with a fitted ``artifact=``), the Table-V adaptive
+selectors (``adaptive``, ``adaptive-greedy``, ``hedge`` --
+:mod:`repro.core.adaptive` on the compact expert grid), ``pro-energy``,
+``ar`` and ``linear-trend``.
 
-Each entry may additionally carry a *vector factory* producing the
-lock-step fleet kernel (:class:`~repro.core.base.VectorPredictor`) for
-the same name; :func:`supports_vector` reports availability and
-:func:`make_vector_predictor` constructs one per fleet group.  The five
-predictors above and the learned tier all ship vector kernels, and
-their scalar predictors are those kernels' ``B == 1`` faces
-(:class:`~repro.core.base.ScalarFace`), so a fleet column and a scalar
-run agree bit for bit.  ``pro-energy``, ``ar``, ``linear-trend`` and
-the adaptive selectors are scalar-only (the fleet simulator falls back
-to one scalar instance per node for those, and the robustness matrix
-scores them cell by cell).
+Every name has one lock-step form, built by
+:func:`make_vector_predictor`: the entry's *vector factory* kernel
+(:class:`~repro.core.base.VectorPredictor`), whose ``B == 1`` face
+(:class:`~repro.core.base.ScalarFace`) is the scalar predictor, or
+else ``B`` scalar instances (:class:`~repro.core.base.ScalarColumns`),
+so a fleet column and a scalar run agree bit for bit either way.
 
 Third-party predictors can be added with :func:`register` (pass
 ``overwrite=True`` to replace an existing entry, e.g. when reloading in
@@ -39,7 +35,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.base import OnlinePredictor, VectorPredictor
+from repro.core import adaptive
+from repro.core.base import OnlinePredictor, ScalarColumns, VectorPredictor
 from repro.core.baselines import (
     MovingAveragePredictor,
     MovingAverageVector,
@@ -57,8 +54,6 @@ __all__ = [
     "make_predictor",
     "make_vector_predictor",
     "available_predictors",
-    "vector_predictors",
-    "supports_vector",
 ]
 
 _FACTORIES: Dict[str, Callable[..., OnlinePredictor]] = {}
@@ -128,39 +123,24 @@ def make_predictor(name: str, n_slots: int, **kwargs) -> OnlinePredictor:
 def make_vector_predictor(
     name: str, n_slots: int, batch_size: int, **kwargs
 ) -> VectorPredictor:
-    """Instantiate the lock-step fleet kernel of a registered predictor.
+    """Instantiate the lock-step form of a registered predictor.
 
-    Raises :class:`KeyError` when the name is unknown *or* registered
-    without vector support (check :func:`supports_vector` first).
+    The entry's vector kernel when it has one, otherwise ``batch_size``
+    :func:`make_predictor` instances as
+    :class:`~repro.core.base.ScalarColumns`.  Keyword arguments go to
+    the factory either way.
     """
-    key = name.lower()
-    if key not in _FACTORIES:
-        raise KeyError(
-            f"unknown predictor {name!r}; available: {', '.join(available_predictors())}"
-        )
-    try:
-        factory = _VECTOR_FACTORIES[key]
-    except KeyError:
-        raise KeyError(
-            f"predictor {name!r} has no vector kernel; vectorized: "
-            f"{', '.join(vector_predictors())}"
+    factory = _VECTOR_FACTORIES.get(name.lower())
+    if factory is None:
+        return ScalarColumns(
+            [make_predictor(name, n_slots, **kwargs) for _ in range(batch_size)]
         )
     return factory(n_slots=n_slots, batch_size=batch_size, **kwargs)
-
-
-def supports_vector(name: str) -> bool:
-    """True when ``name`` is registered with a fleet (vector) kernel."""
-    return name.lower() in _VECTOR_FACTORIES
 
 
 def available_predictors() -> tuple:
     """Registered predictor names, sorted."""
     return tuple(sorted(_FACTORIES))
-
-
-def vector_predictors() -> tuple:
-    """Registered names that ship a vector kernel, sorted."""
-    return tuple(sorted(_VECTOR_FACTORIES))
 
 
 def _make_wcma(n_slots: int, alpha: float = 0.7, days: int = 10, k: int = 2):
@@ -206,8 +186,6 @@ def _make_gbm_vector(n_slots: int, batch_size: int, **kwargs):
 
 
 def _selector_grid(days, alphas, ks):
-    from repro.core.adaptive import compact_grid
-
     grid_kwargs = {}
     if days is not None:
         grid_kwargs["days"] = days
@@ -215,31 +193,22 @@ def _selector_grid(days, alphas, ks):
         grid_kwargs["alphas"] = tuple(alphas)
     if ks is not None:
         grid_kwargs["ks"] = tuple(int(k) for k in ks)
-    return compact_grid(**grid_kwargs)
+    return adaptive.compact_grid(**grid_kwargs)
 
 
-def _make_adaptive(n_slots: int, days=None, alphas=None, ks=None, **kwargs):
-    from repro.core.adaptive import SoftminSelector
+def _selector_factories(face: type, kernel: type) -> tuple:
+    """The (scalar, vector) factories of one selector rule; ``days``,
+    ``alphas`` and ``ks`` reshape the compact expert grid."""
 
-    return SoftminSelector(
-        n_slots, grid=_selector_grid(days, alphas, ks), **kwargs
-    )
+    def scalar(n_slots, days=None, alphas=None, ks=None, **kwargs):
+        return face(n_slots, grid=_selector_grid(days, alphas, ks), **kwargs)
 
+    def vector(n_slots, batch_size, days=None, alphas=None, ks=None, **kwargs):
+        return kernel(
+            n_slots, batch_size, grid=_selector_grid(days, alphas, ks), **kwargs
+        )
 
-def _make_adaptive_greedy(n_slots: int, days=None, alphas=None, ks=None, **kwargs):
-    from repro.core.adaptive import EpsilonGreedySelector
-
-    return EpsilonGreedySelector(
-        n_slots, grid=_selector_grid(days, alphas, ks), **kwargs
-    )
-
-
-def _make_hedge(n_slots: int, days=None, alphas=None, ks=None, **kwargs):
-    from repro.core.adaptive import HedgeSelector
-
-    return HedgeSelector(
-        n_slots, grid=_selector_grid(days, alphas, ks), **kwargs
-    )
+    return scalar, vector
 
 
 def _make_ar(n_slots: int, **kwargs):
@@ -292,11 +261,17 @@ register("linear-trend", _make_trend)
 register("ridge", _make_ridge, vector_factory=_make_ridge_vector)
 register("gbm", _make_gbm, vector_factory=_make_gbm_vector)
 # The Table-V adaptive selectors (repro.core.adaptive) on the compact
-# expert grid; scalar-only, like pro-energy (a selector steps its expert
-# grid as the columns of one WCMA kernel, but has no lock-step form
-# across nodes).  "adaptive" is the softmin-blended
-# leaderboard -- the configuration that beats the re-tuned WCMA on the
-# regime-shift robustness cells.
-register("adaptive", _make_adaptive)
-register("adaptive-greedy", _make_adaptive_greedy)
-register("hedge", _make_hedge)
+# expert grid.  "adaptive" is the softmin-blended leaderboard -- the
+# configuration that beats the re-tuned WCMA on the regime-shift
+# robustness cells.
+register(
+    "adaptive",
+    *_selector_factories(adaptive.SoftminSelector, adaptive.SoftminVector),
+)
+register(
+    "adaptive-greedy",
+    *_selector_factories(adaptive.EpsilonGreedySelector, adaptive.EpsilonGreedyVector),
+)
+register(
+    "hedge", *_selector_factories(adaptive.HedgeSelector, adaptive.HedgeVector)
+)

@@ -22,10 +22,12 @@ Two harnesses:
   per-node scenarios are exactly what the fleet engine's grouping was
   built for.  Reports duty/downtime/waste per cell.
 
-Parallel execution mirrors :mod:`repro.experiments.runner`: the unit of
-work is one (site, scenario) cell -- except for the kernel-backed
-predictors (:data:`STACKED_MATRIX_PREDICTORS`), whose cells run
-*column-stacked* as one B-column kernel slab per predictor -- units are
+Parallel execution mirrors :mod:`repro.experiments.runner`.  WCMA (at
+the paper's parameters and re-tuned) is scored one (site, scenario)
+cell per unit on the cell's :class:`~repro.core.wcma.WCMABatch`; every
+other predictor runs *column-stacked*, its cells the columns of one
+B-column slab of its lock-step form
+(:func:`~repro.core.registry.make_vector_predictor`).  Units are
 independent by construction, workers own private trace caches, and both
 kinds of unit run through the shared executor
 (:func:`repro.parallel.executor.execute_passes`), so the merged output
@@ -63,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.optimizer import grid_search, mape_for_params
-from repro.core.registry import available_predictors, make_predictor
+from repro.core.registry import available_predictors, make_vector_predictor
 from repro.core.wcma import WCMABatch, WCMAParams
 from repro.experiments.common import (
     DEFAULT_N_DAYS,
@@ -73,7 +75,7 @@ from repro.experiments.common import (
     sites_for,
     trace_for,
 )
-from repro.metrics.evaluate import evaluate_predictor, score_predictions
+from repro.metrics.evaluate import score_predictions
 from repro.solar.scenarios import (
     DEFAULT_SCENARIO_SEED,
     available_scenarios,
@@ -85,7 +87,6 @@ __all__ = [
     "DEFAULT_MATRIX_PREDICTORS",
     "LEARNED_MATRIX_PREDICTORS",
     "MIN_N_DAYS",
-    "STACKED_MATRIX_PREDICTORS",
     "TUNED_WCMA_LABEL",
     "scenarios_for",
     "run",
@@ -124,27 +125,6 @@ DEFAULT_MATRIX_PREDICTORS = ("wcma", "ewma", "persistence")
 #: regime-shift cells the adaptive selector beats every fixed-parameter
 #: WCMA configuration, including the per-cell re-tuned one.
 LEARNED_MATRIX_PREDICTORS = ("wcma", "ewma", "ridge", "gbm", "adaptive")
-
-#: Predictors the matrix evaluates *column-stacked*: every (site,
-#: scenario) cell becomes one column of a single B-column run of the
-#: predictor's vector kernel, so e.g. the learned slice advances
-#: lock-step through one batched refit per fit day instead of
-#: ``n_cells`` scalar ones, and no baseline pays its scalar face's
-#: per-observe overhead once per cell.  Columns are bitwise
-#: independent (:class:`~repro.core.base.VectorPredictor`) and the
-#: scalar predictors are the kernels' ``B == 1`` faces, so stacked cells
-#: reproduce the per-cell path byte-for-byte.  WCMA stays per-cell on
-#: the shared :class:`~repro.core.wcma.WCMABatch` (the sweep needs it
-#: anyway); the adaptive selectors and the other scalar-only
-#: predictors have no lock-step form across cells.
-STACKED_MATRIX_PREDICTORS = (
-    "ewma",
-    "persistence",
-    "previous-day",
-    "moving-average",
-    "ridge",
-    "gbm",
-)
 
 #: Stacked predictors whose kernels take a ``training=`` config.
 _TRAINED_PREDICTORS = ("ridge", "gbm")
@@ -209,32 +189,22 @@ def _matrix_unit(
     seed: int,
     tune_wcma: bool,
 ) -> List[dict]:
-    """Score every predictor on one (site, scenario) cell.
+    """Score WCMA on one (site, scenario) cell's :class:`WCMABatch`.
 
-    Module-level and primitive-argument so process pools can pickle it;
-    the perturbed trace and its batch engine are built inside the
-    worker (the base trace comes from the worker's own
+    ``predictors`` is ``("wcma",)`` for the paper's parameters or empty;
+    ``tune_wcma`` adds the re-tuned row.  Module-level and
+    primitive-argument so process pools can pickle it; the perturbed
+    trace and its batch engine are built inside the worker (the base
+    trace comes from the worker's own
     :func:`~repro.experiments.common.trace_for` memo).
     """
     base = trace_for(site, n_days)
     perturbed = make_scenario(scenario_name, seed=seed).apply(base)
-    # The batch engine only serves the WCMA paths; a baselines-only
-    # matrix should not pay for its prefix-sum caches.
-    batch = None
-    if tune_wcma or "wcma" in predictors:
-        batch = WCMABatch.from_trace(perturbed, n_slots)
+    batch = WCMABatch.from_trace(perturbed, n_slots)
     rows: List[dict] = []
-    for name in predictors:
-        if name == "wcma":
-            error = mape_for_params(
-                perturbed, n_slots, _PAPER_PARAMS, batch=batch
-            )
-        else:
-            run_ = evaluate_predictor(
-                make_predictor(name, n_slots), perturbed, n_slots
-            )
-            error = run_.mape
-        rows.append(_matrix_row(scenario_name, site, name, error))
+    if predictors:
+        error = mape_for_params(perturbed, n_slots, _PAPER_PARAMS, batch=batch)
+        rows.append(_matrix_row(scenario_name, site, "wcma", error))
     if tune_wcma:
         sweep = grid_search(perturbed, n_slots, batch=batch)
         row = _matrix_row(
@@ -281,24 +251,25 @@ def _slab_unit(
     seed: int,
     training: Optional[dict],
 ):
-    """Score one kernel-backed predictor on many (site, scenario) cells.
+    """Score one predictor on many (site, scenario) cells.
 
-    Each cell's perturbed trace becomes one column of a ``B``-column
-    vector kernel (:func:`~repro.core.registry.make_vector_predictor`),
+    Each cell's perturbed trace becomes one column of the predictor's
+    ``B``-column lock-step form
+    (:func:`~repro.core.registry.make_vector_predictor`),
     fed through exactly the protocol of
     :func:`~repro.metrics.evaluate.evaluate_predictor` -- one
     ``observe`` per boundary for the whole stack, preceded by a
     ``provide_slot_mean`` for kernels that train on slot means -- then
     each column is scored independently.  Kernel columns are
-    bitwise-independent, so the returned per-cell MAPEs equal the
-    per-cell scalar path's byte-for-byte while the kernel steps once per
-    boundary (and a learned kernel refits once, batched) instead of
-    once per cell.  ``training`` goes to the learned kernels only.
+    bitwise-independent, so the returned per-cell MAPEs equal each
+    cell's scalar ``evaluate_predictor`` run byte-for-byte while the
+    kernel steps once per boundary (and a learned kernel refits once,
+    batched) instead of once per cell.  ``training`` goes to the
+    learned kernels only.
 
     Returns ``{"mape": [...]}`` with one MAPE per cell, in ``cells``
     order.
     """
-    from repro.core.registry import make_vector_predictor
     from repro.solar.slots import SlotView
 
     columns = []
@@ -317,14 +288,11 @@ def _slab_unit(
     )
     kernel.reset()
     predictions = np.empty_like(starts)
-    if getattr(kernel, "uses_slot_mean_feedback", False):
-        for t in range(starts.shape[0]):
-            if t > 0:
-                kernel.provide_slot_mean(means[t - 1])
-            predictions[t] = kernel.observe(starts[t].copy())
-    else:
-        for t in range(starts.shape[0]):
-            predictions[t] = kernel.observe(starts[t].copy())
+    feedback = getattr(kernel, "uses_slot_mean_feedback", False)
+    for t in range(starts.shape[0]):
+        if feedback and t > 0:
+            kernel.provide_slot_mean(means[t - 1])
+        predictions[t] = kernel.observe(starts[t].copy())
 
     mapes = []
     for j in range(starts.shape[1]):
@@ -458,11 +426,11 @@ def run(
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
-    # The kernel-backed predictors run column-stacked (one slab pass per
-    # predictor covering its uncached cells); everything else stays
-    # per-cell.
-    stacked = tuple(p for p in predictor_list if p in STACKED_MATRIX_PREDICTORS)
-    cell_predictors = tuple(p for p in predictor_list if p not in stacked)
+    # WCMA is scored per cell on the cell's batch engine; every other
+    # predictor runs column-stacked (one slab pass per predictor
+    # covering its uncached cells).
+    stacked = tuple(p for p in predictor_list if p != "wcma")
+    cell_predictors = tuple(p for p in predictor_list if p == "wcma")
     training_dict = None
     if training is not None or any(p in _TRAINED_PREDICTORS for p in stacked):
         from repro.learn.models import TrainingConfig
@@ -481,8 +449,8 @@ def run(
         name: training_dict if name in _TRAINED_PREDICTORS else None
         for name in stacked
     }
-    # Units: one per cell (the per-cell predictors, when any), then one
-    # per (stacked predictor, cell).  A predictor's missing cells run
+    # Units: one per cell (when WCMA is scored), then one per (stacked
+    # predictor, cell).  A predictor's missing cells run
     # together as one slab pass; every other unit is its own pass.
     units: List[Tuple[Optional[str], Tuple[str, str]]] = []
     if run_cells:
@@ -553,11 +521,11 @@ def run(
         if run_cells:
             by_name = {row["predictor"]: row for row in by_unit[None, cell]}
         for name in predictor_list:
-            if name in stacked:
+            if name == "wcma":
+                rows.append(by_name[name])
+            else:
                 mape = by_unit[name, cell]["mape"][0]
                 rows.append(_matrix_row(scenario, site, name, mape))
-            else:
-                rows.append(by_name[name])
         if tune_wcma:
             rows.append(by_name[TUNED_WCMA_LABEL])
 

@@ -36,7 +36,6 @@ from repro.learn.models import (
     fit_gbm,
     fit_model,
     fit_ridge,
-    fit_standardizer,
     predict_model,
 )
 from repro.learn.predictor import LearnedKernel, LearnedPredictor
@@ -58,7 +57,6 @@ __all__ = [
     "fit_gbm",
     "fit_model",
     "fit_ridge",
-    "fit_standardizer",
     "predict_model",
     "LearnedKernel",
     "LearnedPredictor",

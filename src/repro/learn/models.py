@@ -34,9 +34,9 @@ gains, so "close" is not good enough; every stacked operation here is
 one whose per-slice reduction order provably matches the scalar code
 path (in particular: means are taken over contiguous rows, matmul core
 slices keep the reference ``(n, Q)`` shape, and the residual subset is
-gathered rather than zero-padded).  The scalar :func:`fit_gbm` is the
-``B == 1`` face of the batched kernel, which is what vectorizes its
-per-feature split-search loop too.
+gathered rather than zero-padded).  The scalar :func:`fit_ridge` and
+:func:`fit_gbm` are the ``B == 1`` faces of the batched kernels, which
+is what vectorizes the GBM's per-feature split-search loop too.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "MODEL_KINDS",
     "GBM_MASK_CHUNK",
     "TrainingConfig",
-    "fit_standardizer",
     "fit_ridge",
     "fit_gbm",
     "fit_model",
@@ -130,44 +129,18 @@ class TrainingConfig:
         return cls(**data)
 
 
-def fit_standardizer(X: np.ndarray):
-    """Per-column ``(mean, scale)``; zero-variance columns get scale 1.
-
-    The unit fallback keeps constant columns (night slots, unfired
-    quality flags) finite under transform instead of producing NaNs.
-    """
-    X = np.asarray(X, dtype=float)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    scale = np.where(std > 1e-12, std, 1.0)
-    return mean, scale
-
-
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
     """Closed-form ridge on standardized features; returns a param dict.
 
     Solves ``(Xs^T Xs + lam * n * I) w = Xs^T (y - ybar)`` with ``Xs``
-    standardized, so ``lam`` is a per-row penalty independent of the
-    training-set size, and the intercept (``ybar``) is unpenalised.
+    standardized (zero-variance columns get unit scale), so ``lam`` is
+    a per-row penalty independent of the training-set size, and the
+    intercept (``ybar``) is unpenalised.  The ``B == 1`` face of
+    :func:`fit_ridge_batch`.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, n_features = X.shape
-    mean, scale = fit_standardizer(X)
-    Xs = (X - mean) / scale
-    ybar = float(y.mean())
-    # lam=0 on collinear features would be singular; the per-row ridge
-    # term keeps the system positive definite for any lam > 0.
-    reg = max(lam, 1e-10) * n
-    gram = Xs.T @ Xs + reg * np.eye(n_features)
-    weights = np.linalg.solve(gram, Xs.T @ (y - ybar))
-    return {
-        "kind": "ridge",
-        "mean": mean,
-        "scale": scale,
-        "weights": weights,
-        "intercept": ybar,
-    }
+    return unstack_params(fit_ridge_batch(X[:, None, :], y[:, None], lam))
 
 
 def fit_gbm(
@@ -190,16 +163,7 @@ def fit_gbm(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    params = fit_gbm_batch(X[:, None, :], y[:, None], config, rng=rng)
-    return {
-        "kind": "gbm",
-        "base": float(params["base"][0]),
-        "learning_rate": params["learning_rate"],
-        "feat": params["feat"][0].copy(),
-        "thr": params["thr"][0].copy(),
-        "left": params["left"][0].copy(),
-        "right": params["right"][0].copy(),
-    }
+    return unstack_params(fit_gbm_batch(X[:, None, :], y[:, None], config, rng=rng))
 
 
 def fit_ridge_batch(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
@@ -222,6 +186,8 @@ def fit_ridge_batch(X: np.ndarray, y: np.ndarray, lam: float) -> dict:
     scale = np.where(std > 1e-12, std, 1.0)
     Xs = (X - mean[None, :, :]) / scale[None, :, :]
     ybar = np.ascontiguousarray(y.T).mean(axis=1)  # (B,)
+    # lam=0 on collinear features would be singular; the per-row ridge
+    # term keeps the system positive definite for any lam > 0.
     reg = max(lam, 1e-10) * n
     Xs_b = np.ascontiguousarray(Xs.transpose(1, 0, 2))  # (B, n, F)
     gram = np.matmul(Xs_b.transpose(0, 2, 1), Xs_b) + reg * np.eye(n_features)

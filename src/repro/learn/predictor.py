@@ -503,15 +503,6 @@ class LearnedPredictor(ScalarFace):
         """Number of online refits performed since reset."""
         return self._kernel.fit_count
 
-    @property
-    def uses_slot_mean_feedback(self) -> bool:
-        """True when evaluators should call :meth:`provide_slot_mean`."""
-        return self._kernel.uses_slot_mean_feedback
-
-    def provide_slot_mean(self, mean_watts: float) -> None:
-        """Report the just-finished slot's realized mean power."""
-        self._kernel.provide_slot_mean(np.array([float(mean_watts)]))
-
     def state_dict(self) -> dict:
         """The kernel's own (``B == 1``) checkpoint."""
         return self._kernel.state_dict()

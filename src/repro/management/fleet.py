@@ -11,13 +11,13 @@ is a handful of ``(B,)`` numpy operations instead of ``B`` Python loops.
 
 How the vectorization is organised:
 
-* **Predictors** are grouped by (name, parameters).  Groups whose
-  registry entry ships a vector kernel
-  (:func:`repro.core.registry.supports_vector`) run one
-  :class:`~repro.core.base.VectorPredictor` per group; anything else --
-  scalar-only registry entries or explicit
-  :class:`~repro.core.base.OnlinePredictor` instances -- falls back to
-  one scalar predictor per node inside an adapter column.
+* **Predictors** are grouped by (name, parameters), and each group
+  runs as the one lock-step form
+  :func:`repro.core.registry.make_vector_predictor` builds for it (a
+  native kernel, or per-node scalar instances side by side for names
+  without one); explicit :class:`~repro.core.base.OnlinePredictor`
+  instances run as one :class:`~repro.core.base.ScalarColumns` of
+  deep copies.
 * **Controllers** of the four built-in types are merged with their
   ``stack`` classmethods into one array-parameterised instance per
   type; unknown controller classes fall back to a per-node adapter (so
@@ -29,7 +29,7 @@ How the vectorization is organised:
   per-node fallback for custom subclasses.
 
 Because every stacked model is elementwise, a ``B``-node fleet run is
-bitwise identical (parity-tested exactly for every vector-kernel
+bitwise identical (parity-tested exactly for every registered
 predictor) to ``B`` independent ``SensorNodeSimulation`` runs -- and
 20x+ faster for a 256-node fleet (``benchmarks/test_bench_fleet.py``).
 """
@@ -42,12 +42,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.base import OnlinePredictor
-from repro.core.registry import (
-    make_predictor,
-    make_vector_predictor,
-    supports_vector,
-)
+from repro.core.base import OnlinePredictor, ScalarColumns
+from repro.core.registry import make_vector_predictor
 from repro.management.consumer import DutyCycledLoad
 from repro.management.controller import (
     Controller,
@@ -91,9 +87,9 @@ class FleetNodeSpec:
         :class:`~repro.management.controller.OracleController` nodes are
         automatically fed the true slot mean.
     predictor:
-        Registry name (vectorized when the registry has a kernel for
-        it) or an explicit :class:`~repro.core.base.OnlinePredictor`
-        instance (always scalar fallback).
+        Registry name (run in its registry lock-step form) or an
+        explicit :class:`~repro.core.base.OnlinePredictor` instance
+        (run as a :class:`~repro.core.base.ScalarColumns` column).
     predictor_kwargs:
         Factory keyword arguments when ``predictor`` is a name.
     harvester, storage, load:
@@ -369,38 +365,6 @@ class FleetAggregate:
 # slice when the subset is the whole fleet (no gather/scatter copies on
 # the homogeneous fast path) and an index array otherwise.
 # ----------------------------------------------------------------------
-class _VectorPredictorColumn:
-    """A registry vector kernel driving a group of node columns."""
-
-    def __init__(self, sel, kernel):
-        self.sel = sel
-        self.kernel = kernel
-
-    def reset(self) -> None:
-        self.kernel.reset()
-
-    def observe(self, values: np.ndarray) -> np.ndarray:
-        return self.kernel.observe(values)
-
-
-class _ScalarPredictorColumn:
-    """Per-node scalar predictors for configurations without a kernel."""
-
-    def __init__(self, sel, predictors: List[OnlinePredictor]):
-        self.sel = sel
-        self.predictors = predictors
-
-    def reset(self) -> None:
-        for predictor in self.predictors:
-            predictor.reset()
-
-    def observe(self, values: np.ndarray) -> np.ndarray:
-        return np.array(
-            [p.observe(float(v)) for p, v in zip(self.predictors, values)],
-            dtype=float,
-        )
-
-
 def _learns(controller: Controller) -> bool:
     """Whether ``controller`` overrides the no-op :meth:`Controller.feedback`."""
     return type(controller).feedback is not Controller.feedback
@@ -652,53 +616,45 @@ class FleetSimulator:
 
     # ------------------------------------------------------------------
     def _build_predictor_columns(self):
+        """``(sel, kernel)`` pairs: one lock-step form per (name,
+        kwargs) group, then one for the caller-supplied instances."""
         n_nodes = self.n_nodes
         # Grouped by (name, kwargs) *equality*, not hashability, so
         # factory kwargs holding lists/dicts still group correctly; a
         # comparison that cannot produce a bool (e.g. ndarray kwargs)
         # conservatively starts a new group.
         groups: List[Tuple[str, dict, List[int]]] = []
-        scalar_members: List[Tuple[int, OnlinePredictor]] = []
+        instances: List[Tuple[int, OnlinePredictor]] = []
         for i, spec in enumerate(self.specs):
-            predictor = spec.predictor
-            kwargs = dict(spec.predictor_kwargs or {})
-            if isinstance(predictor, str):
-                if supports_vector(predictor):
-                    name = predictor.lower()
-                    for group_name, group_kwargs, indices in groups:
-                        try:
-                            same = group_name == name and group_kwargs == kwargs
-                        except (TypeError, ValueError):
-                            same = False
-                        if same:
-                            indices.append(i)
-                            break
-                    else:
-                        groups.append((name, kwargs, [i]))
-                else:
-                    scalar_members.append(
-                        (i, make_predictor(predictor, self.n_slots, **kwargs))
-                    )
-            else:
+            if not isinstance(spec.predictor, str):
                 # Deep-copied so a run never mutates (or is polluted
                 # by) the instance the caller handed in.
-                scalar_members.append((i, copy.deepcopy(predictor)))
-        columns = []
-        for name, kwargs, indices in groups:
-            kernel = make_vector_predictor(
-                name, self.n_slots, len(indices), **kwargs
+                instances.append((i, copy.deepcopy(spec.predictor)))
+                continue
+            name = spec.predictor.lower()
+            kwargs = dict(spec.predictor_kwargs or {})
+            for group_name, group_kwargs, indices in groups:
+                try:
+                    same = group_name == name and group_kwargs == kwargs
+                except (TypeError, ValueError):
+                    same = False
+                if same:
+                    indices.append(i)
+                    break
+            else:
+                groups.append((name, kwargs, [i]))
+        columns = [
+            (
+                _column_selector(indices, n_nodes),
+                make_vector_predictor(name, self.n_slots, len(indices), **kwargs),
             )
-            columns.append(
-                _VectorPredictorColumn(_column_selector(indices, n_nodes), kernel)
-            )
-        if scalar_members:
-            indices = [i for i, _ in scalar_members]
-            columns.append(
-                _ScalarPredictorColumn(
-                    _column_selector(indices, n_nodes),
-                    [p for _, p in scalar_members],
-                )
-            )
+            for name, kwargs, indices in groups
+        ]
+        if instances:
+            columns.append((
+                _column_selector([i for i, _ in instances], n_nodes),
+                ScalarColumns([p for _, p in instances]),
+            ))
         return columns
 
     def _build_controller_columns(self):
@@ -828,8 +784,8 @@ class FleetSimulator:
         predictor_cols = self._build_predictor_columns()
         controller_cols = self._build_controller_columns()
         storage_cols = self._build_storage_columns()
-        for column in predictor_cols:
-            column.reset()
+        for _, kernel in predictor_cols:
+            kernel.reset()
         for column in controller_cols:
             column.reset()
         load = DutyCycledLoad.stack([spec.load for spec in self.specs])
@@ -854,8 +810,8 @@ class FleetSimulator:
 
         for t in range(total):
             values = starts[t].take(node_column)
-            for column in predictor_cols:
-                predictions[column.sel] = column.observe(values[column.sel])
+            for sel, kernel in predictor_cols:
+                predictions[sel] = kernel.observe(values[sel])
 
             # Electrical power the controller plans with: predicted for
             # normal nodes, the true slot power for oracle nodes.

@@ -5,9 +5,13 @@ import pytest
 
 from repro.core.adaptive import (
     EpsilonGreedySelector,
+    EpsilonGreedyVector,
     FollowTheLeaderSelector,
+    FollowTheLeaderVector,
     HedgeSelector,
+    HedgeVector,
     SoftminSelector,
+    SoftminVector,
     compact_grid,
 )
 from repro.core.wcma import WCMAParams, WCMAPredictor
@@ -62,7 +66,7 @@ class TestBehaviour:
         values = rng.uniform(0, 100, 40)
         for value in values:
             prediction = selector.observe(float(value))
-            expert_predictions = selector._last_predictions
+            expert_predictions = selector.expert_predictions
             assert (
                 expert_predictions.min() - 1e-9
                 <= prediction
@@ -74,7 +78,7 @@ class TestBehaviour:
         values = rng.uniform(0, 100, 40)
         for value in values:
             prediction = selector.observe(float(value))
-            expert_predictions = selector._last_predictions
+            expert_predictions = selector.expert_predictions
             assert (
                 expert_predictions.min() - 1e-9
                 <= prediction
@@ -149,11 +153,48 @@ class TestExpertKernel:
         columns = np.empty((starts.size, len(selector.grid)))
         for t, value in enumerate(starts):
             selector.observe(float(value))
-            columns[t] = selector._last_predictions
+            columns[t] = selector.expert_predictions
         for b, params in enumerate(selector.grid):
             np.testing.assert_array_equal(
                 columns[:, b], WCMAPredictor(48, params).run(starts), err_msg=str(params)
             )
+
+
+class TestSelectorKernels:
+    @pytest.mark.parametrize(
+        "kernel_cls,face_cls,kwargs",
+        [
+            (FollowTheLeaderVector, FollowTheLeaderSelector, {}),
+            (SoftminVector, SoftminSelector, {"tau": 0.25}),
+            (EpsilonGreedyVector, EpsilonGreedySelector, {"epsilon": 0.2, "seed": 3}),
+            (HedgeVector, HedgeSelector, {}),
+        ],
+        ids=["ftl", "softmin", "greedy", "hedge"],
+    )
+    def test_node_equals_lone_selector(self, hsu_trace, pfci_trace, kernel_cls,
+                                       face_cls, kwargs):
+        """Node b of a B-node kernel is a lone selector on node b's
+        samples and slot means, bit for bit -- predictions and choices."""
+        views = [SlotView.from_trace(t, 48) for t in (hsu_trace, pfci_trace, hsu_trace)]
+        starts = np.stack([v.flat_starts()[:960] for v in views], axis=1)
+        starts[:, 2] *= 0.5  # same weather, another scale: its own scores
+        means = np.stack([v.flat_means()[:960] for v in views], axis=1)
+        grid = compact_grid(days=(2, 5))
+        kernel = kernel_cls(48, 3, grid=grid, **kwargs)
+        got = np.empty_like(starts)
+        choices = np.empty(starts.shape, dtype=int)
+        for t in range(starts.shape[0]):
+            if t > 0:
+                kernel.provide_slot_mean(means[t - 1])
+            got[t] = kernel.observe(starts[t])
+            choices[t] = kernel._last_choice
+        for b in range(3):
+            lone = face_cls(48, grid=grid, **kwargs)
+            for t in range(starts.shape[0]):
+                if t > 0:
+                    lone.provide_slot_mean(float(means[t - 1, b]))
+                assert lone.observe(float(starts[t, b])) == got[t, b], (b, t)
+                assert lone.last_choice == choices[t, b], (b, t)
 
 
 class TestEndToEnd:

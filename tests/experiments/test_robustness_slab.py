@@ -1,8 +1,9 @@
 """Column-stacked kernel slabs inside the robustness matrix.
 
-Every kernel-backed predictor but WCMA (the baselines and the learned
-``ridge``/``gbm``) runs as one B-column vector-kernel slab covering
-every (site, scenario) cell.  These tests pin the load-bearing
+Every predictor but WCMA (the baselines, the scalar-only regressions,
+the learned ``ridge``/``gbm`` and the adaptive selectors) runs as one
+B-column slab of its lock-step form covering every (site, scenario)
+cell.  These tests pin the load-bearing
 guarantees: the stacked path reproduces the per-cell scalar path
 *exactly* (the goldens depend on it), learned slab cache keys fold in
 the training config and feature schema so hyper-parameter flips can
@@ -13,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.registry import make_predictor
+from repro.core.registry import available_predictors, make_predictor
 from repro.experiments import robustness
 from repro.experiments.common import trace_for
 from repro.learn.models import TrainingConfig
@@ -26,9 +27,11 @@ SITES = ("PFCI", "HSU")
 SCENARIOS = ("dropout", "jitter")  # run() prepends "clean"
 SEED = 7
 N_SLOTS = 48
-#: Stacked predictors interleaved with per-cell WCMA.
+#: Every registered predictor, the stacked ones interleaved with
+#: per-cell WCMA.
 PREDICTORS = (
     "ridge", "ewma", "wcma", "gbm", "persistence", "previous-day", "moving-average",
+    "pro-energy", "adaptive", "ar", "adaptive-greedy", "linear-trend", "hedge",
 )
 FAST = TrainingConfig(
     min_train_days=2,
@@ -43,7 +46,7 @@ FAST = TrainingConfig(
 def matrix():
     """Matrix with an interleaved predictor order, so the slab
     reassembly has to slot stacked columns between per-cell rows."""
-    assert set(PREDICTORS) - {"wcma"} == set(robustness.STACKED_MATRIX_PREDICTORS)
+    assert set(PREDICTORS) == set(available_predictors())
     return robustness.run(
         n_days=DAYS,
         sites=SITES,
@@ -69,11 +72,11 @@ class TestSlabEqualsPerCell:
         assert got == expected
 
     def test_learned_rows_exactly_match_scalar_evaluation(self, matrix):
-        """Every stacked cell equals an independent scalar-face
+        """Every stacked cell equals an independent scalar
         ``evaluate_predictor`` run bit-for-bit -- ``==``, not approx."""
         stacked = 0
         for row in matrix.rows:
-            if row["predictor"] not in robustness.STACKED_MATRIX_PREDICTORS:
+            if row["predictor"] == "wcma":
                 continue
             stacked += 1
             perturbed = make_scenario(row["scenario"], seed=SEED).apply(
@@ -88,7 +91,7 @@ class TestSlabEqualsPerCell:
             assert row["mape"] == float(expected), (
                 row["scenario"], row["site"], row["predictor"],
             )
-        assert stacked == 6 * len(SITES) * (1 + len(SCENARIOS))
+        assert stacked == 12 * len(SITES) * (1 + len(SCENARIOS))
 
     def test_degradation_column_filled(self, matrix):
         for row in matrix.rows:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.base import FleetDayHistory
-from repro.core.registry import make_vector_predictor, supports_vector
+from repro.core.registry import make_vector_predictor
 from repro.management.consumer import DutyCycledLoad
 from repro.management.controller import (
     FixedDutyController,
@@ -194,12 +194,6 @@ class TestVectorKernels:
         samples = np.arange(24, dtype=float).reshape(8, 3)
         out = kernel.run(samples)
         np.testing.assert_array_equal(out, samples)
-
-    def test_supports_vector_flags(self):
-        assert supports_vector("wcma")
-        assert supports_vector("WCMA")
-        assert not supports_vector("pro-energy")
-        assert not supports_vector("nope")
 
 
 class TestFleetSimulator:

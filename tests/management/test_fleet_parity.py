@@ -3,9 +3,9 @@
 For every built-in predictor and every built-in controller, a B-node
 fleet run with per-node configurations identical to B independent
 :class:`~repro.management.node.SensorNodeSimulation` runs must match
-those runs elementwise across every per-slot record array: exactly for
-the five vectorized predictors, whose scalar predictors are the fleet
-kernels' B=1 faces, and to ~1e-9 for the scalar-only fallback.
+those runs exactly, across every per-slot record array: a kernel-backed
+predictor's scalar form is its fleet kernel's B=1 face, and a
+scalar-only one runs the same scalar code in its fleet column.
 
 The fleet nodes deliberately differ from *each other* (different
 traces, storage capacities and types) so the test exercises real
@@ -43,11 +43,10 @@ RECORD_FIELDS = (
     "shortfall_joules",
 )
 
-#: (id, name, factory kwargs) for every registered predictor exercised
-#: by the fleet engine -- the five vectorized ones plus a scalar-only
-#: fallback.  Small D keeps warm-up short on the 12-day test traces;
-#: the D=10 moving average reaches the depths (>= 8) where a lone
-#: column's history mean once took numpy's pairwise-summation path.
+#: (id, name, factory kwargs) for the registered predictors exercised
+#: by the fleet engine.  Small D keeps warm-up short on the 12-day test
+#: traces; the D=10 moving average reaches the depths (>= 8) where a
+#: lone column's history mean once took numpy's pairwise-summation path.
 PREDICTOR_CASES = [
     ("wcma", "wcma", {"alpha": 0.7, "days": 3, "k": 2}),
     ("ewma", "ewma", {"gamma": 0.5}),
@@ -55,7 +54,12 @@ PREDICTOR_CASES = [
     ("previous-day", "previous-day", {}),
     ("moving-average", "moving-average", {"days": 3}),
     ("moving-average-d10", "moving-average", {"days": 10}),
-    ("pro-energy", "pro-energy", {}),  # no vector kernel: per-node scalar fallback
+    ("pro-energy", "pro-energy", {}),
+    ("ar", "ar", {}),
+    ("linear-trend", "linear-trend", {}),
+    ("adaptive", "adaptive", {"days": (2, 3)}),
+    ("adaptive-greedy", "adaptive-greedy", {"days": (2, 3)}),
+    ("hedge", "hedge", {"days": (2, 3)}),
 ]
 
 CONTROLLER_KINDS = ("kansal", "minvar", "fixed", "oracle")
@@ -97,12 +101,6 @@ def _node_configs(traces):
     ]
 
 
-#: Predictors whose scalar form is the ``B == 1`` face of the fleet
-#: kernel: one code path, so the fleet must match its scalar runs
-#: exactly rather than to 1e-9.
-EXACT_PREDICTORS = ("wcma", "ewma", "persistence", "previous-day", "moving-average")
-
-
 def _assert_fleet_matches_scalars(traces, predictor_name, predictor_kwargs, kind):
     configs = _node_configs(traces)
     specs = [
@@ -135,7 +133,7 @@ def _assert_fleet_matches_scalars(traces, predictor_name, predictor_kwargs, kind
             np.testing.assert_allclose(
                 getattr(node_result, field),
                 getattr(scalar_result, field),
-                atol=0.0 if predictor_name in EXACT_PREDICTORS else 1e-9,
+                atol=0.0,
                 rtol=0.0,
                 err_msg=f"{predictor_name}/{kind}, node {node}, {field}",
             )
@@ -207,7 +205,7 @@ class TestMixedFleetParity:
                 np.testing.assert_allclose(
                     getattr(node_result, field),
                     getattr(scalar_result, field),
-                    atol=0.0 if name in EXACT_PREDICTORS else 1e-9,
+                    atol=0.0,
                     rtol=0.0,
                     err_msg=f"{name}/{kind}, node {node}, {field}",
                 )

@@ -162,13 +162,19 @@ class TestTraceLengthBoundaries:
 
     @pytest.mark.parametrize("command", ["tune", "compare", "summarize"])
     def test_short_trace_csv_exits_cleanly(self, command, tmp_path, capsys):
-        path = tmp_path / "short.csv"
-        main(["export-trace", "HSU", "--days", "21", "--out", str(path)])
-        capsys.readouterr()
-        assert main([command, "--trace", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
-        assert "n_days=21 is too short" in err
+        """A ``--trace`` CSV too short to score, or one whose samples
+        per day ``--n`` does not divide, is one error line, status 2."""
+        for days, extra, message in (
+            ("21", [], "n_days=21 is too short"),
+            ("22", ["--n", "7"], "N=7 does not divide samples per day (1440)"),
+        ):
+            path = tmp_path / f"hsu{days}.csv"
+            main(["export-trace", "HSU", "--days", days, "--out", str(path)])
+            capsys.readouterr()
+            assert main([command, "--trace", str(path)] + extra) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            assert message in err
 
 
 class TestEmptyRegionExitsCleanly:
