@@ -31,6 +31,7 @@ Run the robustness matrix over a measured trace::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -52,6 +53,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite, strictly positive float (e.g. a capacity)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument(
         "--capacities",
         nargs="+",
-        type=float,
+        type=_positive_float,
         default=[250.0],
         metavar="JOULES",
         help="storage capacities cycled across the fleet (default 250 J)",
@@ -759,32 +771,29 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "fleet":
-        from repro.experiments.fleet import (
-            build_fleet_specs,
-            fleet_result_table,
-            run_fleet,
-        )
+        from repro.experiments.fleet import fleet_result_table
         from repro.metrics import format_fleet_summary, summarise_fleet
+        from repro.parallel.fleet import FleetPlan, run_fleet_blocks
 
-        specs = build_fleet_specs(
+        plan = FleetPlan(
             n_nodes=args.nodes,
-            sites=args.sites,
+            sites=tuple(args.sites),
             n_days=args.days,
-            predictors=args.predictors,
-            controllers=args.controllers,
-            capacities=args.capacities,
+            predictors=tuple(args.predictors),
+            controllers=tuple(args.controllers),
+            capacities=tuple(args.capacities),
             n_slots=args.n,
-            scenarios=args.scenarios,
+            scenarios=tuple(args.scenarios) if args.scenarios else None,
             scenario_seed=args.scenario_seed,
         )
-        result, elapsed = run_fleet(specs, args.n)
-        print(fleet_result_table(result, specs).render())
+        aggregate, stats = run_fleet_blocks(plan)
+        print(fleet_result_table(aggregate, plan).render())
         print()
-        print(format_fleet_summary(summarise_fleet(result)))
-        node_slots = result.n_nodes * result.total_slots
+        print(format_fleet_summary(summarise_fleet(aggregate)))
+        node_slots = aggregate.n_nodes * aggregate.total_slots
         print(
-            f"throughput: {node_slots:,} node-slots in {elapsed:.2f}s "
-            f"({node_slots / elapsed:,.0f} node-slots/sec)"
+            f"throughput: {node_slots:,} node-slots in {stats.elapsed_s:.2f}s "
+            f"({node_slots / stats.elapsed_s:,.0f} node-slots/sec)"
         )
         return 0
 

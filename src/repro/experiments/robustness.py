@@ -587,13 +587,12 @@ def run_fleet_robustness(
     Every node carries the same hardware (mote-class load, one storage
     cell, the same predictor and controller) but a *differently
     degraded* trace, and the whole heterogeneous fleet advances in
-    lock-step through one :class:`~repro.management.fleet.FleetSimulator`.
-    The interesting output is not prediction error but its downstream
-    consequence: achieved duty, downtime and wasted harvest per
-    scenario.
+    lock-step through :func:`~repro.parallel.fleet.run_fleet_blocks`
+    (inline, uncached).  The interesting output is not prediction error
+    but its downstream consequence: achieved duty, downtime and wasted
+    harvest per scenario.
 
-    The fleet itself comes from
-    :func:`~repro.experiments.fleet.build_fleet_specs` with the
+    The fleet is a :class:`~repro.parallel.fleet.FleetPlan` with the
     scenario axis engaged: with single predictor/controller/capacity
     axes its mixed-radix enumeration makes the scenario vary fastest
     and the site slowest, so ``n_sites * n_scenarios`` nodes cover each
@@ -601,14 +600,13 @@ def run_fleet_robustness(
     -- and the robustness fleet models exactly the same hardware as
     ``repro-solar fleet``.
     """
-    from repro.experiments.fleet import build_fleet_specs
-    from repro.management.fleet import FleetSimulator
+    from repro.parallel.fleet import FleetPlan, run_fleet_blocks
 
     site_list = sites_for(sites)
     scenario_list = scenarios_for(scenarios)
     if n_days <= 0:
         raise ValueError(f"n_days must be positive, got {n_days}")
-    specs = build_fleet_specs(
+    plan = FleetPlan(
         n_nodes=len(site_list) * len(scenario_list),
         sites=site_list,
         n_days=n_days,
@@ -619,21 +617,21 @@ def run_fleet_robustness(
         scenarios=scenario_list,
         scenario_seed=seed,
     )
-    result = FleetSimulator(specs, n_slots).run()
+    result, _ = run_fleet_blocks(plan)
 
     rows = []
     node = 0
     clean_downtime: Dict[str, float] = {}
     for site in site_list:
         for scenario_name in scenario_list:
-            # Cross-check the assumed node order against the spec's own
+            # Cross-check the assumed node order against the node's own
             # label so an axis reshuffle in build_fleet_specs can never
             # silently misattribute a cell.
             expected_prefix = f"{site.lower()}-{scenario_name}-"
-            if not specs[node].name.startswith(expected_prefix):
+            if not result.node_names[node].startswith(expected_prefix):
                 raise RuntimeError(
                     f"fleet spec order mismatch: node {node} is "
-                    f"{specs[node].name!r}, expected a "
+                    f"{result.node_names[node]!r}, expected a "
                     f"{expected_prefix!r} node -- build_fleet_specs "
                     "axis order changed"
                 )
@@ -696,6 +694,6 @@ def run_fleet_robustness(
             "n_days": n_days,
             "n_slots": n_slots,
             "seed": seed,
-            "n_nodes": len(specs),
+            "n_nodes": result.n_nodes,
         },
     )

@@ -126,7 +126,8 @@ class KansalController(Controller):
         correction_gain: float = 1.0,
         horizon_seconds: float = 86_400.0,
     ):
-        if np.any(np.asarray(capacity_joules) <= 0):
+        capacity = np.asarray(capacity_joules)
+        if not (np.isfinite(capacity) & (capacity > 0)).all():
             raise ValueError("capacity_joules must be positive")
         target = np.asarray(target_soc)
         if np.any(target < 0.0) or np.any(target > 1.0):
@@ -190,7 +191,8 @@ class MinimumVarianceController(Controller):
         correction_gain: float = 0.5,
         horizon_seconds: float = 86_400.0,
     ):
-        if np.any(np.asarray(capacity_joules) <= 0):
+        capacity = np.asarray(capacity_joules)
+        if not (np.isfinite(capacity) & (capacity > 0)).all():
             raise ValueError("capacity_joules must be positive")
         smoothing_arr = np.asarray(smoothing)
         if np.any(smoothing_arr <= 0.0) or np.any(smoothing_arr > 1.0):

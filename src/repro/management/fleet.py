@@ -20,13 +20,15 @@ How the vectorization is organised:
   deep copies.
 * **Controllers** of the four built-in types are merged with their
   ``stack`` classmethods into one array-parameterised instance per
-  type; unknown controller classes fall back to a per-node adapter (so
-  e.g. :class:`~repro.management.planning.ProfilePlanningController`
-  still works, just without the speedup).
-* **Storage** is stacked per concrete class
+  type; any other controller class runs as one ``_ControllerColumns``,
+  per-node copies side by side (so e.g.
+  :class:`~repro.management.planning.ProfilePlanningController` still
+  works, just without the speedup).
+* **Storage** is stacked the same way
   (:class:`~repro.management.storage.Battery` /
-  :class:`~repro.management.storage.Supercapacitor`), again with a
-  per-node fallback for custom subclasses.
+  :class:`~repro.management.storage.Supercapacitor`, a mix of both as
+  one supercapacitor array); custom storage classes run as one
+  ``_StoreColumns``.
 
 Because every stacked model is elementwise, a ``B``-node fleet run is
 bitwise identical (parity-tested exactly for every registered
@@ -108,12 +110,6 @@ class FleetNodeSpec:
     storage: Battery = field(default_factory=Battery)
     load: DutyCycledLoad = field(default_factory=DutyCycledLoad)
     name: str = ""
-
-    def predictor_label(self) -> str:
-        """Short human-readable predictor identifier."""
-        if isinstance(self.predictor, str):
-            return self.predictor.lower()
-        return type(self.predictor).__name__
 
 
 @dataclass(frozen=True)
@@ -361,40 +357,26 @@ class FleetAggregate:
 
 
 # ----------------------------------------------------------------------
-# Group adapters: each covers a subset of node columns.  ``sel`` is a
-# slice when the subset is the whole fleet (no gather/scatter copies on
-# the homogeneous fast path) and an index array otherwise.
+# Lock-step forms of node models.  Each simulator column is a ``(sel,
+# model)`` pair covering a subset of node columns: ``sel`` is a slice
+# when the subset is the whole fleet (no gather/scatter copies on the
+# homogeneous fast path) and an index array otherwise.
 # ----------------------------------------------------------------------
 def _learns(controller: Controller) -> bool:
     """Whether ``controller`` overrides the no-op :meth:`Controller.feedback`."""
     return type(controller).feedback is not Controller.feedback
 
 
-class _StackedControllerColumn:
-    """One array-parameterised controller covering its node columns."""
+class _ControllerColumns(Controller):
+    """``B`` controllers side by side, column ``b`` running
+    ``controllers[b]``: the lock-step form of a :class:`Controller`
+    class without a ``stack``.  Only the members that learn hear
+    :meth:`feedback`.
+    """
 
-    def __init__(self, sel, controller: Controller):
-        self.sel = sel
-        self.controller = controller
-        self.learns = _learns(controller)
-
-    def reset(self) -> None:
-        self.controller.reset()
-
-    def decide(self, predicted_watts, state_of_charge):
-        return self.controller.decide(predicted_watts, state_of_charge)
-
-    def feedback(self, harvest_watts) -> None:
-        self.controller.feedback(harvest_watts)
-
-
-class _ScalarControllerColumn:
-    """Per-node controllers for classes without a ``stack``."""
-
-    def __init__(self, sel, controllers: List[Controller]):
-        self.sel = sel
-        self.controllers = controllers
-        self.learns = any(_learns(c) for c in controllers)
+    def __init__(self, controllers: Sequence[Controller]):
+        self.controllers = list(controllers)
+        self._learners = [(b, c) for b, c in enumerate(self.controllers) if _learns(c)]
 
     def reset(self) -> None:
         for controller in self.controllers:
@@ -410,62 +392,35 @@ class _ScalarControllerColumn:
         )
 
     def feedback(self, harvest_watts) -> None:
-        for controller, watts in zip(self.controllers, harvest_watts):
-            controller.feedback(float(watts))
+        for b, controller in self._learners:
+            controller.feedback(float(harvest_watts[b]))
 
 
-class _StackedStoreColumn:
-    """One array-parameterised store covering its node columns.
+class _StoreColumns:
+    """``B`` stores side by side, column ``b`` running ``stores[b]``: the
+    lock-step form of a storage class without a ``stack``.
 
-    Charges and discharges skip the stores' per-call input checks: the
-    simulator checks its harvest table once, and its requests are
-    non-negative by construction.
+    It has the slot loop's store surface; ``_charge`` and ``_discharge``
+    go through each member's own (checked) ``charge`` and
+    ``discharge``, which a custom class may override.
     """
 
-    def __init__(self, sel, store: Battery):
-        self.sel = sel
-        self.store = store
-        self.charge_efficiency = np.asarray(store.charge_efficiency, dtype=float)
-
-    @property
-    def state_of_charge(self):
-        return self.store.state_of_charge
-
-    def charge(self, joules):
-        return self.store._charge(joules)
-
-    def discharge(self, joules):
-        return self.store._discharge(joules)
-
-    def leak(self, seconds):
-        self.store.leak(seconds)
-
-
-class _ScalarStoreColumn:
-    """Per-node stores for custom storage classes without a ``stack``.
-
-    Operates on deep copies of the spec's instances (made by the
-    column builder), so the spec stays pristine between runs exactly
-    as on the stacked path.
-    """
-
-    def __init__(self, sel, stores: List[Battery]):
-        self.sel = sel
-        self.stores = stores
+    def __init__(self, stores: Sequence[Battery]):
+        self.stores = list(stores)
         self.charge_efficiency = np.array(
-            [s.charge_efficiency for s in stores], dtype=float
+            [s.charge_efficiency for s in self.stores], dtype=float
         )
 
     @property
     def state_of_charge(self):
         return np.array([s.state_of_charge for s in self.stores], dtype=float)
 
-    def charge(self, joules):
+    def _charge(self, joules):
         return np.array(
             [s.charge(float(j)) for s, j in zip(self.stores, joules)], dtype=float
         )
 
-    def discharge(self, joules):
+    def _discharge(self, joules):
         return np.array(
             [s.discharge(float(j)) for s, j in zip(self.stores, joules)], dtype=float
         )
@@ -480,6 +435,36 @@ def _column_selector(indices: List[int], n_nodes: int):
     if len(indices) == n_nodes:
         return slice(None)
     return np.array(indices, dtype=np.intp)
+
+
+def _model_columns(models: Sequence, stackable: Tuple[type, ...], columns, merge=None):
+    """``(sel, model)`` pairs covering ``models``, one model per node.
+
+    Each ``stackable`` class stacks into one array instance (all of
+    them into one ``merge.stack`` when several appear); the rest run as
+    one ``columns`` of deep copies, so a run never dirties the specs.
+    Nodes keep ascending order within each pair.
+    """
+    n_nodes = len(models)
+    by_type: Dict[type, List[int]] = {}
+    custom: List[int] = []
+    for i, model in enumerate(models):
+        if type(model) in stackable:
+            by_type.setdefault(type(model), []).append(i)
+        else:
+            custom.append(i)
+    if merge is not None and len(by_type) > 1:
+        by_type = {merge: sorted(i for indices in by_type.values() for i in indices)}
+    pairs = [
+        (_column_selector(indices, n_nodes), cls.stack([models[i] for i in indices]))
+        for cls, indices in by_type.items()
+    ]
+    if custom:
+        pairs.append((
+            _column_selector(custom, n_nodes),
+            columns([copy.deepcopy(models[i]) for i in custom]),
+        ))
+    return pairs
 
 
 class FleetSimulator:
@@ -657,66 +642,6 @@ class FleetSimulator:
             ))
         return columns
 
-    def _build_controller_columns(self):
-        n_nodes = self.n_nodes
-        by_type: Dict[type, List[Tuple[int, Controller]]] = {}
-        scalar_members: List[Tuple[int, Controller]] = []
-        for i, spec in enumerate(self.specs):
-            controller = spec.controller
-            if type(controller) in _STACKABLE_CONTROLLERS:
-                by_type.setdefault(type(controller), []).append((i, controller))
-            else:
-                scalar_members.append((i, copy.deepcopy(controller)))
-        columns = []
-        for cls, members in by_type.items():
-            indices = [i for i, _ in members]
-            stacked = cls.stack([c for _, c in members])
-            columns.append(
-                _StackedControllerColumn(_column_selector(indices, n_nodes), stacked)
-            )
-        if scalar_members:
-            indices = [i for i, _ in scalar_members]
-            columns.append(
-                _ScalarControllerColumn(
-                    _column_selector(indices, n_nodes),
-                    [c for _, c in scalar_members],
-                )
-            )
-        return columns
-
-    def _build_storage_columns(self):
-        n_nodes = self.n_nodes
-        by_type: Dict[type, List[Tuple[int, Battery]]] = {}
-        scalar_members: List[Tuple[int, Battery]] = []
-        for i, spec in enumerate(self.specs):
-            store = spec.storage
-            if type(store) in _STACKABLE_STORES:
-                by_type.setdefault(type(store), []).append((i, store))
-            else:
-                scalar_members.append((i, copy.deepcopy(store)))
-        if len(by_type) == 2:
-            # A supercapacitor array also models plain batteries, so a
-            # mixed fleet steps one store column instead of two.
-            by_type = {Supercapacitor: sorted(
-                by_type[Battery] + by_type[Supercapacitor], key=lambda m: m[0]
-            )}
-        columns = []
-        for cls, members in by_type.items():
-            indices = [i for i, _ in members]
-            stacked = cls.stack([s for _, s in members])
-            columns.append(
-                _StackedStoreColumn(_column_selector(indices, n_nodes), stacked)
-            )
-        if scalar_members:
-            indices = [i for i, _ in scalar_members]
-            columns.append(
-                _ScalarStoreColumn(
-                    _column_selector(indices, n_nodes),
-                    [s for _, s in scalar_members],
-                )
-            )
-        return columns
-
     # ------------------------------------------------------------------
     def run(self) -> FleetRunResult:
         """Simulate every slot for every node; returns the full record."""
@@ -782,12 +707,19 @@ class FleetSimulator:
         slot_seconds = self.slot_duration_hours * 3600.0
 
         predictor_cols = self._build_predictor_columns()
-        controller_cols = self._build_controller_columns()
-        storage_cols = self._build_storage_columns()
+        controller_cols = _model_columns(
+            [spec.controller for spec in self.specs], _STACKABLE_CONTROLLERS, _ControllerColumns
+        )
+        # A supercapacitor array also models plain batteries, so a
+        # mixed fleet steps one store column instead of two.
+        storage_cols = _model_columns(
+            [spec.storage for spec in self.specs], _STACKABLE_STORES, _StoreColumns,
+            merge=Supercapacitor,
+        )
         for _, kernel in predictor_cols:
             kernel.reset()
-        for column in controller_cols:
-            column.reset()
+        for _, controller in controller_cols:
+            controller.reset()
         load = DutyCycledLoad.stack([spec.load for spec in self.specs])
         gains = self._gains
 
@@ -802,11 +734,11 @@ class FleetSimulator:
         node_column = self._node_column
         oracle_power, oracle_column = self._oracle_power, self._oracle_column
         custom_harvesters = self._custom_harvester_nodes
-        learning_cols = [column for column in controller_cols if column.learns]
+        learning_cols = [(sel, c) for sel, c in controller_cols if _learns(c)]
         # The state of charge at a slot boundary: read once up front,
         # then after each slot's leak (nothing moves it in between).
-        for column in storage_cols:
-            soc_now[column.sel] = column.state_of_charge
+        for sel, store in storage_cols:
+            soc_now[sel] = store.state_of_charge
 
         for t in range(total):
             values = starts[t].take(node_column)
@@ -823,40 +755,39 @@ class FleetSimulator:
             if any_oracle:
                 predicted_power[oracle_indices] = oracle_power[t].take(oracle_column)
 
-            for column in controller_cols:
-                duty[column.sel] = column.decide(
-                    predicted_power[column.sel], soc_now[column.sel]
-                )
+            for sel, controller in controller_cols:
+                duty[sel] = controller.decide(predicted_power[sel], soc_now[sel])
 
-            # The slot plays out with the *true* mean power.
+            # The slot plays out with the *true* mean power.  Stores
+            # charge and discharge unchecked: the harvest table was
+            # checked once in the constructor, and requests are
+            # non-negative by construction.
             incoming = harvest_energy[t].take(node_column)
-            for column in storage_cols:
-                incoming_here = incoming[column.sel]
-                stored = column.charge(incoming_here)
-                wasted_now[column.sel] = (
-                    incoming_here * column.charge_efficiency - stored
-                )
+            for sel, store in storage_cols:
+                incoming_here = incoming[sel]
+                stored = store._charge(incoming_here)
+                wasted_now[sel] = incoming_here * store.charge_efficiency - stored
 
             request = load.energy(duty, slot_seconds)
             supplied = np.empty(n_nodes)
-            for column in storage_cols:
-                supplied[column.sel] = column.discharge(request[column.sel])
+            for sel, store in storage_cols:
+                supplied[sel] = store._discharge(request[sel])
             shortfall_now = request - supplied
             ratio = np.zeros(n_nodes)
             np.divide(supplied, request, out=ratio, where=request > 0)
             achieved = duty * ratio
 
-            for column in storage_cols:
-                column.leak(slot_seconds)
-                soc_now[column.sel] = column.state_of_charge
+            for sel, store in storage_cols:
+                store.leak(slot_seconds)
+                soc_now[sel] = store.state_of_charge
             sink.record(
                 t, duty, achieved, soc_now, incoming, supplied,
                 wasted_now, shortfall_now,
             )
             if learning_cols:
                 harvest_watts = incoming / slot_seconds
-                for column in learning_cols:
-                    column.feedback(harvest_watts[column.sel])
+                for sel, controller in learning_cols:
+                    controller.feedback(harvest_watts[sel])
 
 
 class _RecordSink:

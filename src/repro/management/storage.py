@@ -59,7 +59,8 @@ class Battery:
         leakage_watts=10e-6,
         initial_soc=0.5,
     ):
-        if np.any(np.asarray(capacity_joules) <= 0):
+        capacity = np.asarray(capacity_joules)
+        if not (np.isfinite(capacity) & (capacity > 0)).all():
             raise ValueError("capacity_joules must be positive")
         for name, value in (
             ("charge_efficiency", charge_efficiency),

@@ -9,11 +9,12 @@ shared executor:
 
 * A :class:`FleetPlan` is the *whole fleet as a value*: axis lists
   (sites / predictors / controllers / capacities / scenarios) plus
-  primitive hardware parameters.  It is a few hundred bytes however
-  many nodes it describes -- workers rebuild their own nodes' specs
-  from the plan via ``build_fleet_specs(..., node_range=...)`` (the
-  mixed-radix node identity is global, so block boundaries never change
-  which node gets which axes).
+  primitive hardware parameters.  It is the one description of a
+  generated fleet, a few hundred bytes however many nodes it
+  describes -- workers rebuild their own nodes' specs from the plan
+  via ``build_fleet_specs(plan, node_range)`` (the mixed-radix node
+  identity is global, so block boundaries never change which node gets
+  which axes).
 * **Blocks are the checkpoint unit; small blocks share passes.**  The
   slot loop costs per step, not per node, so :func:`group_blocks`
   packs contiguous missing blocks into one lock-step pass while the
@@ -41,12 +42,15 @@ shared executor:
   grown fleet recomputes only the new tail.
 
 ``run_fleet_blocks(plan)`` is therefore the resumable, multicore form
-of ``FleetSimulator(build_fleet_specs(...)).run_aggregate()`` -- same
-numbers, flat memory, near-linear in cores and shards.
+of ``FleetSimulator(build_fleet_specs(plan)).run_aggregate()`` -- same
+numbers, flat memory, near-linear in cores and shards -- and the one
+way the CLI ``fleet`` command, the robustness fleet and the examples
+run a generated fleet.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -91,12 +95,13 @@ MAX_PASS_NODES = 1024
 class FleetPlan:
     """A whole heterogeneous fleet as a small picklable value.
 
-    Mirrors the axes of
-    :func:`~repro.experiments.fleet.build_fleet_specs` -- node ``i``
-    cycles predictor fastest, site slowest -- but carries only names
-    and primitives (the load is two floats, not an object), so shipping
-    a plan to a worker costs the same whether it describes 64 nodes or
-    a million.
+    Node ``i`` cycles every axis mixed-radix -- predictor fastest, site
+    slowest (see :func:`~repro.experiments.fleet.build_fleet_specs`).
+    The plan carries only names and primitives (the load is two floats,
+    not an object), so shipping it to a worker costs the same whether
+    it describes 64 nodes or a million.  ``sites=None`` is the paper's
+    six and ``scenarios=None`` the clean trace; every axis given must
+    be non-empty, and every capacity finite and positive.
     """
 
     n_nodes: int
@@ -116,28 +121,15 @@ class FleetPlan:
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
-
-    def spec_kwargs(self) -> dict:
-        """Keyword arguments for ``build_fleet_specs`` (minus node_range)."""
-        from repro.management.consumer import DutyCycledLoad
-
-        return dict(
-            n_nodes=self.n_nodes,
-            sites=self.sites,
-            n_days=self.n_days,
-            predictors=self.predictors,
-            controllers=self.controllers,
-            capacities=self.capacities,
-            n_slots=self.n_slots,
-            panel_area_m2=self.panel_area_m2,
-            load=DutyCycledLoad(
-                active_power_watts=self.active_power_watts,
-                sleep_power_watts=self.sleep_power_watts,
-            ),
-            supercap_threshold_joules=self.supercap_threshold_joules,
-            scenarios=self.scenarios,
-            scenario_seed=self.scenario_seed,
-        )
+        for axis in ("sites", "predictors", "controllers", "capacities", "scenarios"):
+            values = getattr(self, axis)
+            if values is not None and len(values) == 0:
+                raise ValueError(f"{axis} must not be empty")
+        for capacity in self.capacities:
+            if not 0.0 < capacity < math.inf:
+                raise ValueError(
+                    f"capacities must be finite and positive, got {capacity!r}"
+                )
 
     def site_list(self) -> Tuple[str, ...]:
         from repro.experiments.common import sites_for
@@ -191,7 +183,7 @@ def _run_block(plan: FleetPlan, start: int, stop: int, dtype: str) -> FleetAggre
     from repro.experiments.fleet import build_fleet_specs
     from repro.management.fleet import FleetSimulator
 
-    specs = build_fleet_specs(node_range=(start, stop), **plan.spec_kwargs())
+    specs = build_fleet_specs(plan, node_range=(start, stop))
     aggregate = FleetSimulator(specs, plan.n_slots).run_aggregate()
     if dtype != "float64":
         aggregate = aggregate.astype(np.dtype(dtype))
@@ -240,9 +232,9 @@ def run_fleet_blocks(
     if dtype not in ("float64", "float32"):
         raise ValueError(f"dtype must be 'float64' or 'float32', got {dtype!r}")
     blocks = plan_blocks(plan.n_nodes, block_size)
-    identities = {site: dataset_identity(site) for site in plan.site_list()}
     keys = None
     if cache is not None:
+        identities = {site: dataset_identity(site) for site in plan.site_list()}
         keys = [_block_key(cache, plan, block, dtype, identities) for block in blocks]
 
     def passes(missing):

@@ -1,7 +1,7 @@
 """Measured-site registration: ingested files as first-class sites.
 
 The experiment layer selects data by *site name* (``trace_for``,
-``sweep_for``, ``build_fleet_specs``, the robustness matrix).
+``sweep_for``, ``FleetPlan`` sites, the robustness matrix).
 Registering a measured file here makes its name resolvable through
 :func:`repro.solar.datasets.build_dataset` exactly like the synthetic
 six, so every experiment accepts ingested traces with no further

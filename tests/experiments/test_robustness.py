@@ -195,14 +195,15 @@ class TestFleetSpecScenarioAxis:
 
     def test_scenarios_cycle_and_label(self):
         from repro.experiments.fleet import build_fleet_specs
+        from repro.parallel.fleet import FleetPlan
 
-        specs = build_fleet_specs(
+        specs = build_fleet_specs(FleetPlan(
             n_nodes=4,
             sites=("SPMD",),
             n_days=8,
             predictors=("wcma",),
             scenarios=("clean", "dropout"),
-        )
+        ))
         names = [spec.name for spec in specs]
         assert "spmd-clean-wcma-kansal-0" in names
         assert "spmd-dropout-wcma-kansal-1" in names
@@ -212,20 +213,22 @@ class TestFleetSpecScenarioAxis:
 
     def test_default_keeps_legacy_names_and_traces(self):
         from repro.experiments.fleet import build_fleet_specs
+        from repro.parallel.fleet import FleetPlan
         from repro.solar.datasets import build_dataset
 
         specs = build_fleet_specs(
-            n_nodes=2, sites=("SPMD",), n_days=8, predictors=("wcma",)
+            FleetPlan(n_nodes=2, sites=("SPMD",), n_days=8, predictors=("wcma",))
         )
         assert specs[0].name == "spmd-wcma-kansal-0"
         assert specs[0].trace is build_dataset("SPMD", n_days=8)
 
     def test_unknown_scenario_raises(self):
         from repro.experiments.fleet import build_fleet_specs
+        from repro.parallel.fleet import FleetPlan
 
         with pytest.raises(KeyError, match="unknown scenario"):
             build_fleet_specs(
-                n_nodes=2, sites=("SPMD",), n_days=8, scenarios=("nope",)
+                FleetPlan(n_nodes=2, sites=("SPMD",), n_days=8, scenarios=("nope",))
             )
 
 

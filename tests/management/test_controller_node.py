@@ -82,6 +82,19 @@ class TestMinimumVariance:
             MinimumVarianceController(LOAD, 100.0, smoothing=0.0)
 
 
+@pytest.mark.parametrize(
+    "cls", [KansalController, OracleController, MinimumVarianceController]
+)
+@pytest.mark.parametrize(
+    "capacity", [np.nan, np.inf, -np.inf, np.array([250.0, np.nan])]
+)
+def test_non_finite_capacity_rejected(cls, capacity):
+    """``capacity <= 0`` is False for NaN and for infinity, so the check
+    asks for a finite positive capacity instead."""
+    with pytest.raises(ValueError, match="capacity_joules must be positive"):
+        cls(LOAD, capacity)
+
+
 class TestNodeSimulation:
     def make_sim(self, trace, predictor=None, controller=None, storage=None):
         predictor = predictor or WCMAPredictor(48, WCMAParams(0.7, 5, 2))

@@ -8,21 +8,24 @@ is what the sharded fleet engine streams and checkpoints.
 import numpy as np
 import pytest
 
-from repro.experiments.fleet import build_fleet_specs
+from repro.experiments.fleet import build_fleet_specs, fleet_result_table
 from repro.management import FleetAggregate, FleetSimulator
+from repro.parallel.fleet import FleetPlan
+
+PLAN = FleetPlan(
+    n_nodes=12,
+    sites=("SPMD", "PFCI"),
+    n_days=4,
+    predictors=("wcma", "ewma"),
+    controllers=("kansal", "fixed"),
+    capacities=(50.0, 9000.0),
+    scenarios=("clean", "dropout"),
+)
 
 
 @pytest.fixture(scope="module")
 def specs():
-    return build_fleet_specs(
-        n_nodes=12,
-        sites=("SPMD", "PFCI"),
-        n_days=4,
-        predictors=("wcma", "ewma"),
-        controllers=("kansal", "fixed"),
-        capacities=(50.0, 9000.0),
-        scenarios=("clean", "dropout"),
-    )
+    return build_fleet_specs(PLAN)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,27 @@ class TestParityWithRun:
         for key in ("mean_duty", "downtime_fraction", "waste_fraction",
                     "mean_final_soc"):
             assert a[key] == pytest.approx(r[key], rel=1e-9, abs=1e-12)
+
+    def test_result_table_matches_record_table(self, record, aggregate):
+        """The per-predictor table from the aggregate equals the one the
+        full records give (node ``i`` runs predictor ``i % 2``)."""
+        table = fleet_result_table(aggregate, PLAN)
+        assert [row["predictor"] for row in table.rows] == ["ewma", "wcma"]
+        assert table.meta == {"n_nodes": 12, "total_slots": record.total_slots}
+        for row in table.rows:
+            idx = np.arange(record.n_nodes)[
+                PLAN.predictors.index(row["predictor"])::len(PLAN.predictors)
+            ]
+            harvest = record.harvested_joules[:, idx].sum()
+            expected = {
+                "nodes": idx.size,
+                "mean duty %": 100.0 * record.duty_achieved[:, idx].mean(),
+                "downtime %": 100.0 * (record.shortfall_joules[:, idx] > 0).mean(),
+                "waste %": 100.0 * record.wasted_joules[:, idx].sum() / harvest,
+                "mean final soc %": 100.0 * record.final_soc[idx].mean(),
+            }
+            for key, value in expected.items():
+                assert row[key] == pytest.approx(value, rel=1e-12), key
 
     def test_run_aggregate_is_deterministic(self, specs, aggregate):
         again = FleetSimulator(specs, 48).run_aggregate()

@@ -1,5 +1,6 @@
 """Tests for battery and supercapacitor models."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,6 +84,17 @@ class TestBattery:
             getattr(battery, op)(amount)
             assert 0.0 <= battery.stored_joules <= 100.0 + 1e-9
             assert 0.0 <= battery.state_of_charge <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("cls", [Battery, Supercapacitor])
+@pytest.mark.parametrize(
+    "capacity", [np.nan, np.inf, -np.inf, np.array([250.0, np.nan])]
+)
+def test_non_finite_capacity_rejected(cls, capacity):
+    """``capacity <= 0`` is False for NaN and for infinity, so the check
+    asks for a finite positive capacity instead."""
+    with pytest.raises(ValueError, match="capacity_joules must be positive"):
+        cls(capacity_joules=capacity)
 
 
 class TestSupercapacitor:

@@ -32,7 +32,7 @@ PLAN = FleetPlan(
 
 
 def _full_aggregate(plan: FleetPlan) -> FleetAggregate:
-    specs = build_fleet_specs(**plan.spec_kwargs())
+    specs = build_fleet_specs(plan)
     return FleetSimulator(specs, plan.n_slots).run_aggregate()
 
 
@@ -101,11 +101,29 @@ class TestFleetPlan:
         with pytest.raises(ValueError, match="n_nodes"):
             FleetPlan(n_nodes=0)
 
-    def test_spec_kwargs_rebuild_the_same_fleet(self):
-        specs = build_fleet_specs(**PLAN.spec_kwargs())
+    @pytest.mark.parametrize("change, match", [
+        ({"predictors": ()}, "predictors"),
+        ({"controllers": ()}, "controllers"),
+        ({"capacities": ()}, "capacities"),
+        ({"sites": ()}, "sites"),
+        ({"scenarios": ()}, "scenarios"),
+        ({"capacities": (250.0, float("nan"))}, "capacities"),
+        ({"capacities": (float("inf"),)}, "capacities"),
+        ({"capacities": (0.0,)}, "capacities"),
+        ({"capacities": (-5.0,)}, "capacities"),
+    ])
+    def test_rejects_empty_axis_and_bad_capacity(self, change, match):
+        """An empty axis would divide by zero in the node enumeration and
+        a NaN or infinite capacity would run to NaN metrics: both fail
+        when the plan is made."""
+        with pytest.raises(ValueError, match=match):
+            FleetPlan(n_nodes=2, **change)
+
+    def test_blocks_rebuild_the_same_fleet(self):
+        specs = build_fleet_specs(PLAN)
         assert len(specs) == PLAN.n_nodes
         blocks = [
-            build_fleet_specs(node_range=(start, stop), **PLAN.spec_kwargs())
+            build_fleet_specs(PLAN, node_range=(start, stop))
             for start, stop in plan_blocks(PLAN.n_nodes, 5)
         ]
         flat = [spec for block in blocks for spec in block]
@@ -170,7 +188,7 @@ class TestShardedEqualsFull:
         _assert_bitwise_equal(seq, par)
 
     def test_summary_matches_run(self):
-        specs = build_fleet_specs(**PLAN.spec_kwargs())
+        specs = build_fleet_specs(PLAN)
         record = FleetSimulator(specs, PLAN.n_slots).run().summary()
         sharded, _ = run_fleet_blocks(PLAN, block_size=4)
         aggregate = sharded.summary()

@@ -576,10 +576,11 @@ class TestMeasuredSites:
 
     def test_fleet_specs_accept_measured(self, measured_registry_guard):
         from repro.experiments.fleet import build_fleet_specs
+        from repro.parallel.fleet import FleetPlan
 
         register_measured_site(sample_csv_path(), name="MEAS")
         specs = build_fleet_specs(
-            n_nodes=2, sites=("MEAS",), n_days=8, predictors=("persistence",)
+            FleetPlan(n_nodes=2, sites=("MEAS",), n_days=8, predictors=("persistence",))
         )
         assert specs[0].trace.name == "MEAS"
 

@@ -103,6 +103,10 @@ class TestValueErrorsExitCleanly:
             ["robustness", "--seed", "-1"],
             ["fleet", "--scenarios", "dropout", "--scenario-seed", "-1"],
             ["export-trace", "SPMD", "--seed", "-1", "--out", "x.csv"],
+            ["fleet", "--capacities", "-5"],
+            ["fleet", "--capacities", "0"],
+            ["fleet", "--capacities", "250", "nan"],
+            ["fleet", "--capacities", "inf"],
         ],
     )
     def test_non_positive_sizes_rejected_by_parser(self, argv):
