@@ -13,6 +13,7 @@ the fleet simulator.  All arithmetic is elementwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,21 +45,16 @@ class DutyCycledLoad:
     max_duty: float = 1.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.active_power_watts) <= 0):
-            raise ValueError("active_power_watts must be positive")
-        if np.any(np.asarray(self.sleep_power_watts) < 0):
-            raise ValueError("sleep_power_watts must be non-negative")
-        if np.any(
-            np.asarray(self.active_power_watts) <= np.asarray(self.sleep_power_watts)
-        ):
+        # Every check is an inclusion test, so a NaN fails it.
+        active, sleep = self.active_power_watts, self.sleep_power_watts
+        if not np.all((0.0 < active) & (active < math.inf)):
+            raise ValueError("active_power_watts must be finite and positive")
+        if not np.all((0.0 <= sleep) & (sleep < math.inf)):
+            raise ValueError("sleep_power_watts must be finite and non-negative")
+        if not np.all(sleep < active):
             raise ValueError("active power must exceed sleep power")
-        min_duty = np.asarray(self.min_duty)
-        max_duty = np.asarray(self.max_duty)
-        if (
-            np.any(min_duty < 0.0)
-            or np.any(min_duty > max_duty)
-            or np.any(max_duty > 1.0)
-        ):
+        min_duty, max_duty = self.min_duty, self.max_duty
+        if not np.all((0.0 <= min_duty) & (min_duty <= max_duty) & (max_duty <= 1.0)):
             raise ValueError("require 0 <= min_duty <= max_duty <= 1")
 
     @classmethod

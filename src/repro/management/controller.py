@@ -26,6 +26,7 @@ about MAPE at all.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,6 +76,22 @@ class Controller(abc.ABC):
         """
 
 
+def _check_soc_steering(capacity_joules, target_soc, correction_gain, horizon_seconds):
+    """Validate the state-of-charge correction terms of the Kansal and
+    minimum-variance controllers (scalars or ``(B,)`` arrays).
+
+    Every check is an inclusion test, so a NaN fails it.
+    """
+    if not np.all((0.0 < capacity_joules) & (capacity_joules < math.inf)):
+        raise ValueError("capacity_joules must be positive")
+    if not np.all((0.0 <= target_soc) & (target_soc <= 1.0)):
+        raise ValueError("target_soc must be in [0, 1]")
+    if not np.all((0.0 <= correction_gain) & (correction_gain < math.inf)):
+        raise ValueError("correction_gain must be finite and non-negative")
+    if not np.all((0.0 < horizon_seconds) & (horizon_seconds < math.inf)):
+        raise ValueError("horizon_seconds must be finite and positive")
+
+
 @dataclass
 class FixedDutyController(Controller):
     """Constant duty cycle, oblivious to energy conditions."""
@@ -82,8 +99,7 @@ class FixedDutyController(Controller):
     duty: float = 0.2
 
     def __post_init__(self):
-        duty = np.asarray(self.duty)
-        if np.any(duty < 0.0) or np.any(duty > 1.0):
+        if not np.all((0.0 <= self.duty) & (self.duty <= 1.0)):
             raise ValueError("duty must be in [0, 1]")
 
     @classmethod
@@ -126,16 +142,9 @@ class KansalController(Controller):
         correction_gain: float = 1.0,
         horizon_seconds: float = 86_400.0,
     ):
-        capacity = np.asarray(capacity_joules)
-        if not (np.isfinite(capacity) & (capacity > 0)).all():
-            raise ValueError("capacity_joules must be positive")
-        target = np.asarray(target_soc)
-        if np.any(target < 0.0) or np.any(target > 1.0):
-            raise ValueError("target_soc must be in [0, 1]")
-        if np.any(np.asarray(correction_gain) < 0):
-            raise ValueError("correction_gain must be non-negative")
-        if np.any(np.asarray(horizon_seconds) <= 0):
-            raise ValueError("horizon_seconds must be positive")
+        _check_soc_steering(
+            capacity_joules, target_soc, correction_gain, horizon_seconds
+        )
         self.load = load
         self.capacity_joules = capacity_joules
         self.target_soc = target_soc
@@ -191,19 +200,11 @@ class MinimumVarianceController(Controller):
         correction_gain: float = 0.5,
         horizon_seconds: float = 86_400.0,
     ):
-        capacity = np.asarray(capacity_joules)
-        if not (np.isfinite(capacity) & (capacity > 0)).all():
-            raise ValueError("capacity_joules must be positive")
-        smoothing_arr = np.asarray(smoothing)
-        if np.any(smoothing_arr <= 0.0) or np.any(smoothing_arr > 1.0):
+        _check_soc_steering(
+            capacity_joules, target_soc, correction_gain, horizon_seconds
+        )
+        if not np.all((0.0 < smoothing) & (smoothing <= 1.0)):
             raise ValueError("smoothing must be in (0, 1]")
-        target = np.asarray(target_soc)
-        if np.any(target < 0.0) or np.any(target > 1.0):
-            raise ValueError("target_soc must be in [0, 1]")
-        if np.any(np.asarray(correction_gain) < 0):
-            raise ValueError("correction_gain must be non-negative")
-        if np.any(np.asarray(horizon_seconds) <= 0):
-            raise ValueError("horizon_seconds must be positive")
         self.load = load
         self.capacity_joules = capacity_joules
         self.target_soc = target_soc

@@ -11,6 +11,7 @@ harvested power is::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class PVHarvester:
     conditioning_efficiency: float = 0.85
 
     def __post_init__(self):
-        if self.area_m2 <= 0:
-            raise ValueError("area_m2 must be positive")
+        if not 0.0 < self.area_m2 < math.inf:
+            raise ValueError("area_m2 must be finite and positive")
         for name in ("panel_efficiency", "conditioning_efficiency"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:

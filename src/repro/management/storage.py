@@ -27,6 +27,7 @@ operation sequences.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -59,20 +60,18 @@ class Battery:
         leakage_watts=10e-6,
         initial_soc=0.5,
     ):
-        capacity = np.asarray(capacity_joules)
-        if not (np.isfinite(capacity) & (capacity > 0)).all():
+        # Every check is an inclusion test, so a NaN fails it.
+        if not np.all((0.0 < capacity_joules) & (capacity_joules < math.inf)):
             raise ValueError("capacity_joules must be positive")
         for name, value in (
             ("charge_efficiency", charge_efficiency),
             ("discharge_efficiency", discharge_efficiency),
         ):
-            value = np.asarray(value)
-            if np.any(value <= 0.0) or np.any(value > 1.0):
+            if not np.all((0.0 < value) & (value <= 1.0)):
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
-        if np.any(np.asarray(leakage_watts) < 0):
-            raise ValueError("leakage_watts must be non-negative")
-        initial = np.asarray(initial_soc)
-        if np.any(initial < 0.0) or np.any(initial > 1.0):
+        if not np.all((0.0 <= leakage_watts) & (leakage_watts < math.inf)):
+            raise ValueError("leakage_watts must be finite and non-negative")
+        if not np.all((0.0 <= initial_soc) & (initial_soc <= 1.0)):
             raise ValueError("initial_soc must be in [0, 1]")
         self.capacity_joules = capacity_joules
         self.charge_efficiency = charge_efficiency
@@ -195,8 +194,8 @@ class Supercapacitor(Battery):
             leakage_watts=0.0,
             initial_soc=initial_soc,
         )
-        if np.any(np.asarray(leakage_watts_full) < 0):
-            raise ValueError("leakage_watts_full must be non-negative")
+        if not np.all((0.0 <= leakage_watts_full) & (leakage_watts_full < math.inf)):
+            raise ValueError("leakage_watts_full must be finite and non-negative")
         self.leakage_watts_full = leakage_watts_full
 
     @classmethod

@@ -101,7 +101,10 @@ class FleetPlan:
     not an object), so shipping it to a worker costs the same whether
     it describes 64 nodes or a million.  ``sites=None`` is the paper's
     six and ``scenarios=None`` the clean trace; every axis given must
-    be non-empty, and every capacity finite and positive.
+    be non-empty, every capacity, the panel area and the active power
+    finite and positive, the sleep power finite and non-negative, and
+    the supercapacitor threshold non-negative (infinity makes every
+    store a supercapacitor).
     """
 
     n_nodes: int
@@ -130,6 +133,20 @@ class FleetPlan:
                 raise ValueError(
                     f"capacities must be finite and positive, got {capacity!r}"
                 )
+        for name in ("panel_area_m2", "active_power_watts"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 <= self.sleep_power_watts < math.inf:
+            raise ValueError(
+                "sleep_power_watts must be finite and non-negative, "
+                f"got {self.sleep_power_watts!r}"
+            )
+        if not self.supercap_threshold_joules >= 0.0:
+            raise ValueError(
+                "supercap_threshold_joules must be non-negative, "
+                f"got {self.supercap_threshold_joules!r}"
+            )
 
     def site_list(self) -> Tuple[str, ...]:
         from repro.experiments.common import sites_for

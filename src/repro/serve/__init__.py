@@ -18,10 +18,6 @@ This package is that deployment shape:
   flush).
 * :mod:`repro.serve.http` -- the optional stdlib HTTP front-end
   (``--http PORT``).
-
-Feeding the service from a file larger than memory pairs with the
-streaming ingest path (:func:`repro.solar.ingest.ingest_stream` /
-:func:`repro.solar.ingest.iter_days`).
 """
 
 from repro.serve.daemon import serve_stdin

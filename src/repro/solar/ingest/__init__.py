@@ -35,19 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from repro.solar.ingest.midc import (
-    DayChunk,
-    IngestError,
-    MIDCChannel,
-    iter_days,
-    parse_midc,
-    scan_midc,
-    stream_channel,
-)
+from repro.solar.ingest.midc import IngestError, parse_midc
 from repro.solar.ingest.quality import (
     FLAG_NAMES,
     QualityReport,
@@ -65,16 +57,11 @@ __all__ = [
     "QualityReport",
     "QualityThresholds",
     "FLAG_NAMES",
-    "DayChunk",
     "ingest_csv",
-    "ingest_stream",
     "format_ingest_report",
     "sample_csv_path",
     "ingest_sample",
     "parse_midc",
-    "scan_midc",
-    "iter_days",
-    "stream_channel",
     "detect_quality",
     "clean_values",
     "build_replay_scenario",
@@ -137,7 +124,7 @@ class IngestResult:
 
 
 def ingest_csv(
-    source: Union[str, Path, TextIO],
+    source: Union[str, Path, Iterable[str]],
     channel: Optional[str] = None,
     resolution_minutes: Optional[int] = None,
     name: Optional[str] = None,
@@ -149,7 +136,9 @@ def ingest_csv(
     Parameters
     ----------
     source:
-        Path or text stream of the raw CSV.
+        Path of the raw CSV, or any iterable of its text lines (an
+        open file, a ``StringIO``, a one-shot stream); read once by
+        :func:`parse_midc`.
     channel:
         Channel header to ingest (case-insensitive exact or unique
         substring); default: the first ``GLOBAL`` channel.
@@ -170,109 +159,21 @@ def ingest_csv(
         raise IngestError("min_valid_fraction must be in (0, 1]")
     parsed = parse_midc(source, channel)
     native = parsed.resolution_minutes
-    target = _target_resolution(resolution_minutes, native)
-    # Clip thermal-offset negatives; NaN (missing) propagates through.
-    values = np.maximum(parsed.values, 0.0)
-    if target != native:
-        values = _resample(values, target // native, min_valid_fraction)
-    return _assemble(
-        values,
-        target=target,
-        native=native,
-        channel=parsed.channel,
-        channels=parsed.channels,
-        start_date=parsed.start_date,
-        label=name or _default_name(source),
-        thresholds=thresholds,
-        source=str(source) if isinstance(source, (str, Path)) else None,
-    )
-
-
-def ingest_stream(
-    source: Union[str, Path, TextIO],
-    channel: Optional[str] = None,
-    resolution_minutes: Optional[int] = None,
-    name: Optional[str] = None,
-    thresholds: Optional[QualityThresholds] = None,
-    min_valid_fraction: float = DEFAULT_MIN_VALID_FRACTION,
-) -> IngestResult:
-    """Bounded-memory ingestion of a measured CSV (day-by-day).
-
-    Same signature and byte-identical output to :func:`ingest_csv`, but
-    the CSV text is never loaded whole: a :func:`scan_midc` validation
-    pass (which keeps only the set of distinct minutes-of-day) is
-    followed by a :func:`iter_days` data pass that clips and resamples
-    one day of samples at a time.  The only whole-file allocation is
-    the numeric grid itself -- ~8 bytes per sample versus the tens of
-    bytes per text row of a multi-channel export -- so files much
-    larger than memory ingest fine.
-
-    Needs a file path (or a seekable stream): the two passes re-read
-    the source.  Rows must be grouped by date (see :func:`iter_days`);
-    :func:`ingest_csv` remains the fallback for shuffled files.
-    """
-    if not 0.0 < min_valid_fraction <= 1.0:
-        raise IngestError("min_valid_fraction must be in (0, 1]")
-    if not isinstance(source, (str, Path)) and getattr(source, "seek", None) is None:
-        raise IngestError(
-            "ingest_stream makes two passes over the source; pass a file "
-            "path or a seekable stream (or use ingest_csv)"
-        )
-    info = scan_midc(source, channel)
-    native = info.resolution_minutes
-    target = _target_resolution(resolution_minutes, native)
-    factor = target // native
-    grid = np.empty(info.n_days * (MINUTES_PER_DAY // target), dtype=float)
-    spd = MINUTES_PER_DAY // target
-    for i, chunk in enumerate(
-        iter_days(source, channel, resolution_minutes=native)
-    ):
-        day = np.maximum(chunk.values, 0.0)
-        if factor > 1:
-            day = _resample(day, factor, min_valid_fraction)
-        grid[i * spd : (i + 1) * spd] = day
-    return _assemble(
-        grid,
-        target=target,
-        native=native,
-        channel=info.channel,
-        channels=info.channels,
-        start_date=info.start_date,
-        label=name or _default_name(source),
-        thresholds=thresholds,
-        source=str(source) if isinstance(source, (str, Path)) else None,
-    )
-
-
-def _target_resolution(resolution_minutes: Optional[int], native: int) -> int:
     target = resolution_minutes if resolution_minutes is not None else native
     if target < native or target % native or MINUTES_PER_DAY % target:
         raise IngestError(
             f"target resolution {target} min must be a whole multiple of "
             f"the native {native} min and divide a day"
         )
-    return target
+    # Clip thermal-offset negatives; NaN (missing) propagates through.
+    values = np.maximum(parsed.values, 0.0)
+    if target != native:
+        values = _resample(values, target // native, min_valid_fraction)
 
-
-def _assemble(
-    values: np.ndarray,
-    target: int,
-    native: int,
-    channel: str,
-    channels: tuple,
-    start_date: str,
-    label: str,
-    thresholds: Optional[QualityThresholds],
-    source: Optional[str],
-) -> IngestResult:
-    """Quality detection, repair and replay: shared ingestion tail.
-
-    Both the whole-file and the streaming front doors deliver the same
-    clipped, resampled grid here, so byte-identity between them holds
-    by construction from this point on.
-    """
-    spd = MINUTES_PER_DAY // target
-    report = detect_quality(values, spd, target, thresholds=thresholds)
+    label = name or _default_name(source)
+    report = detect_quality(
+        values, MINUTES_PER_DAY // target, target, thresholds=thresholds
+    )
     raw_values = np.where(report.missing, 0.0, values)
     cleaned = clean_values(values, report)
 
@@ -286,11 +187,11 @@ def _assemble(
         clean=clean,
         report=report,
         scenario=scenario,
-        channel=channel,
-        channels=channels,
+        channel=parsed.channel,
+        channels=parsed.channels,
         native_resolution_minutes=native,
-        start_date=start_date,
-        source=source,
+        start_date=parsed.start_date,
+        source=str(source) if isinstance(source, (str, Path)) else None,
     )
 
 

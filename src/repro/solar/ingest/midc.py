@@ -32,42 +32,30 @@ carry -- into a dense NaN-padded grid at the file's native resolution:
 The output covers the whole calendar span of the file (missing rows
 padded with NaN), so downstream consumers always see whole days.
 
-Two reading modes share the same row machinery:
-
-* :func:`parse_midc` -- the whole-file parser; loads every row, accepts
-  rows in any order.
-* :func:`scan_midc` / :func:`iter_days` / :func:`stream_channel` -- the
-  **streaming** reader for files larger than memory.  ``scan_midc``
-  makes one bounded-memory validation pass (it keeps the set of
-  distinct minutes-of-day, never the rows); ``iter_days`` then yields
-  one dense :class:`DayChunk` at a time, holding at most a single day
-  of samples, requiring rows grouped by date (real exports are).  The
-  concatenation of the chunks is byte-identical to the whole-file grid
-  (pinned by ``tests/solar/test_ingest_stream.py``).
+:func:`parse_midc` reads its source once, so a one-shot stream will do.
+Each row is kept as three fixed-width numbers (day ordinal, minute of
+day, sample: 14 bytes) in typed arrays; the grid checks and the grid
+itself are then computed from those arrays at once, holding at most
+64 bytes per row at the peak.  Any malformed input -- the CSV layer's
+own errors included -- raises :class:`IngestError` naming the row.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.solar.trace import MINUTES_PER_DAY
 
-__all__ = [
-    "IngestError",
-    "MIDCChannel",
-    "DayChunk",
-    "StreamInfo",
-    "parse_midc",
-    "scan_midc",
-    "iter_days",
-    "stream_channel",
-]
+__all__ = ["IngestError", "MIDCChannel", "parse_midc"]
 
 #: Values at or below this are treated as missing-data sentinels.
 SENTINEL_CEILING = -999.0
@@ -81,6 +69,11 @@ _TIME_HEADERS = {
 #: Calendar-span ceiling: a grid this long is a parse gone wrong (e.g.
 #: two disjoint deployments concatenated), not a trace.
 _MAX_SPAN_DAYS = 2000
+
+#: The one NaN every missing sample is stored as, so the grid's bytes do
+#: not depend on how a file spelled its missing values (``-nan`` sets
+#: the sign bit).
+_MISSING = float("nan")
 
 
 class IngestError(ValueError):
@@ -128,118 +121,59 @@ class MIDCChannel:
         return float(np.isnan(self.values).mean())
 
 
-@dataclass(frozen=True, eq=False)
-class DayChunk:
-    """One dense day of samples from the streaming reader.
-
-    Attributes
-    ----------
-    ordinal:
-        Proleptic ordinal of the calendar day.
-    date:
-        The same day as an ISO string.
-    values:
-        ``(samples_per_day,)`` float array; NaN marks missing samples.
-    """
-
-    ordinal: int
-    date: str
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class StreamInfo:
-    """What one bounded-memory scan pass learns about a file.
-
-    Everything :func:`iter_days` needs to stream the data pass, plus
-    the channel metadata :class:`MIDCChannel` carries.
-    """
-
-    resolution_minutes: int
-    channel: str
-    channels: Tuple[str, ...]
-    first_ordinal: int
-    last_ordinal: int
-    n_rows: int
-
-    @property
-    def samples_per_day(self) -> int:
-        """Samples in each whole day at the scanned resolution."""
-        return MINUTES_PER_DAY // self.resolution_minutes
-
-    @property
-    def n_days(self) -> int:
-        """Whole calendar days the grid will span."""
-        return self.last_ordinal - self.first_ordinal + 1
-
-    @property
-    def start_date(self) -> str:
-        """ISO date of the first grid day."""
-        return date.fromordinal(self.first_ordinal).isoformat()
-
-
 def parse_midc(
-    source: Union[str, Path, TextIO], channel: Optional[str] = None
+    source: Union[str, Path, Iterable[str]], channel: Optional[str] = None
 ) -> MIDCChannel:
-    """Parse one channel of an MIDC-shaped CSV (path or text stream)."""
+    """Parse one channel of an MIDC-shaped CSV.
+
+    ``source`` is a path or any iterable of text lines: an open file, a
+    ``StringIO`` or a one-shot generator, seekable or not.
+    """
     if isinstance(source, (str, Path)):
-        with _open_path(source) as handle:
+        # utf-8-sig absorbs a leading byte-order mark (a BOM in front of a
+        # quoted header cell would otherwise break CSV quote parsing).
+        with open(source, "r", newline="", encoding="utf-8-sig") as handle:
             return _parse(handle, channel)
     return _parse(source, channel)
 
 
-def _open_path(source: Union[str, Path]) -> TextIO:
-    # utf-8-sig absorbs a leading byte-order mark (a BOM in front of a
-    # quoted header cell would otherwise break CSV quote parsing).
-    return open(source, "r", newline="", encoding="utf-8-sig")
-
-
-def _lines_without_bom(handle: Iterable[str]) -> Iterator[str]:
-    """The lines of ``handle`` with a leading BOM stripped.
+def _lines_without_bom(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` with a leading BOM stripped.
 
     Covers text streams the caller opened without ``utf-8-sig`` (or
     built in memory); a no-op when no BOM is present.
     """
-    lines = iter(handle)
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
+        return lines
+    return itertools.chain((first.lstrip("\ufeff"),), lines)
+
+
+def _parse(lines: Iterable[str], channel: Optional[str]) -> MIDCChannel:
+    rows = csv.reader(_lines_without_bom(lines))
+    ordinals = array("i")
+    minutes = array("h")
+    values = array("d")
     try:
-        first = next(lines)
-    except StopIteration:
-        return
-    yield first.lstrip("\ufeff")
-    yield from lines
-
-
-class _RowReader:
-    """CSV rows with the header resolved into (date, time, value) columns.
-
-    Shared by the whole-file parser and both streaming passes so every
-    mode tolerates the same quirks and raises the same errors.
-    """
-
-    def __init__(self, handle: Iterable[str], channel: Optional[str]):
-        self._reader = csv.reader(_lines_without_bom(handle))
         header = next(
-            (row for row in self._reader if row and any(c.strip() for c in row)),
-            None,
+            (row for row in rows if row and any(c.strip() for c in row)), None
         )
         if header is None:
             raise IngestError("file is empty")
         header = [cell.strip() for cell in header]
-        self.date_col, self.time_col = _locate_time_columns(header)
+        date_col, time_col = _locate_time_columns(header)
         channel_cols = [
             (i, name)
             for i, name in enumerate(header)
-            if i not in (self.date_col, self.time_col) and name
+            if i not in (date_col, time_col) and name
         ]
         if not channel_cols:
             raise IngestError("no measurement channels besides the date/time columns")
-        self.value_col, self.channel_name = _select_channel(channel_cols, channel)
-        self.channels = tuple(name for _, name in channel_cols)
-
-    def iter_rows(self) -> Iterator[Tuple[int, int, int, float]]:
-        """Yield ``(line, day_ordinal, minute_of_day, value)`` per data row."""
-        width = max(self.date_col, self.time_col, self.value_col)
-        for line, row in enumerate(self._reader, start=2):
+        value_col, channel_name = _select_channel(channel_cols, channel)
+        width = max(date_col, time_col, value_col)
+        last_date = ordinal = None
+        for line, row in enumerate(rows, start=2):
             if not row or not any(cell.strip() for cell in row):
                 continue
             if len(row) <= width:
@@ -247,35 +181,33 @@ class _RowReader:
                     f"row {line}: expected at least "
                     f"{width + 1} fields, got {len(row)}"
                 )
-            yield (
-                line,
-                _parse_date(row[self.date_col].strip(), line),
-                _parse_minute(row[self.time_col].strip(), line),
-                _parse_value(row[self.value_col].strip(), line),
-            )
-
-
-def _parse(handle: TextIO, channel: Optional[str]) -> MIDCChannel:
-    reader = _RowReader(handle, channel)
-    ordinals: List[int] = []
-    minutes: List[int] = []
-    values: List[float] = []
-    for _line, ordinal, minute, value in reader.iter_rows():
-        ordinals.append(ordinal)
-        minutes.append(minute)
-        values.append(value)
-    if not ordinals:
+            text = row[date_col].strip()
+            if text != last_date:  # rows come grouped by date: parse each once
+                ordinal = _parse_date(text, line)
+                last_date = text
+            ordinals.append(ordinal)
+            minutes.append(_parse_minute(row[time_col].strip(), line))
+            values.append(_parse_value(row[value_col].strip(), line))
+    except csv.Error as exc:
+        # csv's own refusals (an oversized field, a bare carriage return
+        # inside a field) name the line it was reading.
+        raise IngestError(f"row {rows.line_num}: {exc}") from None
+    if not values:
         raise IngestError("file contains no data rows")
 
-    resolution = _infer_resolution(minutes)
-    off_grid = [m for m in minutes if m % resolution]
-    if off_grid:
+    days = np.frombuffer(ordinals, dtype=np.intc)
+    minute = np.frombuffer(minutes, dtype=np.short)
+    present = np.zeros(MINUTES_PER_DAY, dtype=bool)
+    present[minute] = True
+    resolution = _infer_resolution(np.flatnonzero(present).tolist())
+    if np.any(minute % resolution):
+        first_off = minutes[int(np.argmax(minute % resolution != 0))]
         raise IngestError(
-            f"irregular time grid: minute {off_grid[0]} is not on the "
+            f"irregular time grid: minute {first_off} is not on the "
             f"inferred {resolution}-minute grid"
         )
 
-    first, last = min(ordinals), max(ordinals)
+    first, last = int(days.min()), int(days.max())
     n_days = last - first + 1
     if n_days > _MAX_SPAN_DAYS:
         raise IngestError(
@@ -283,230 +215,30 @@ def _parse(handle: TextIO, channel: Optional[str]) -> MIDCChannel:
             "not a contiguous deployment"
         )
     spd = MINUTES_PER_DAY // resolution
+    slot = days.astype(np.intp)
+    slot -= first
+    slot *= spd
+    slot += minute // resolution
     grid = np.full(n_days * spd, np.nan)
-    seen = np.zeros(n_days * spd, dtype=bool)
-    for ordinal, minute, value in zip(ordinals, minutes, values):
-        slot = (ordinal - first) * spd + minute // resolution
-        if seen[slot]:
-            raise IngestError(
-                f"duplicate timestamp: day {ordinal - first + 1}, "
-                f"minute {minute}"
-            )
-        seen[slot] = True
-        grid[slot] = value
+    grid[slot] = np.frombuffer(values)
+    seen = np.zeros(grid.size, dtype=bool)
+    seen[slot] = True
+    if np.count_nonzero(seen) < len(values):
+        # Report the first row, in file order, whose slot an earlier row holds.
+        _, first_rows = np.unique(slot, return_index=True)
+        repeat = np.ones(slot.size, dtype=bool)
+        repeat[first_rows] = False
+        row = int(np.argmax(repeat))
+        raise IngestError(
+            f"duplicate timestamp: day {ordinals[row] - first + 1}, "
+            f"minute {minutes[row]}"
+        )
     return MIDCChannel(
         values=grid,
         resolution_minutes=resolution,
-        channel=reader.channel_name,
-        channels=reader.channels,
-        start_date=datetime.fromordinal(first).date().isoformat(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Streaming reader
-# ----------------------------------------------------------------------
-def scan_midc(
-    source: Union[str, Path, TextIO], channel: Optional[str] = None
-) -> StreamInfo:
-    """Validation pass over an MIDC CSV in bounded memory.
-
-    Streams every row exactly as :func:`parse_midc` would read it --
-    same header resolution, same per-row errors -- but keeps only the
-    calendar span and the set of distinct minutes-of-day (at most 1440
-    entries), never the rows themselves.  Returns the
-    :class:`StreamInfo` that :func:`iter_days` needs for its data pass.
-    """
-    if isinstance(source, (str, Path)):
-        with _open_path(source) as handle:
-            return _scan(handle, channel)
-    return _scan(source, channel)
-
-
-def _scan(handle: TextIO, channel: Optional[str]) -> StreamInfo:
-    reader = _RowReader(handle, channel)
-    # Distinct minutes in first-occurrence order: enough to both infer
-    # the resolution and report the same first off-grid minute the
-    # whole-file parser would (all minutes seen before an off-grid
-    # row's first occurrence are on-grid by construction).
-    minute_order: dict = {}
-    first = last = None
-    n_rows = 0
-    for _line, ordinal, minute, _value in reader.iter_rows():
-        minute_order.setdefault(minute, None)
-        first = ordinal if first is None else min(first, ordinal)
-        last = ordinal if last is None else max(last, ordinal)
-        n_rows += 1
-    if n_rows == 0:
-        raise IngestError("file contains no data rows")
-    distinct = list(minute_order)
-    resolution = _infer_resolution(distinct)
-    off_grid = [m for m in distinct if m % resolution]
-    if off_grid:
-        raise IngestError(
-            f"irregular time grid: minute {off_grid[0]} is not on the "
-            f"inferred {resolution}-minute grid"
-        )
-    n_days = last - first + 1
-    if n_days > _MAX_SPAN_DAYS:
-        raise IngestError(
-            f"file spans {n_days} calendar days (> {_MAX_SPAN_DAYS}); "
-            "not a contiguous deployment"
-        )
-    return StreamInfo(
-        resolution_minutes=resolution,
-        channel=reader.channel_name,
-        channels=reader.channels,
-        first_ordinal=first,
-        last_ordinal=last,
-        n_rows=n_rows,
-    )
-
-
-def iter_days(
-    source: Union[str, Path, TextIO],
-    channel: Optional[str] = None,
-    resolution_minutes: Optional[int] = None,
-) -> Iterator[DayChunk]:
-    """Stream an MIDC CSV one dense day at a time.
-
-    Holds at most a single day of samples: each yielded
-    :class:`DayChunk` carries a freshly allocated ``(samples_per_day,)``
-    grid (NaN-padded, missing interior days yielded as all-NaN), so a
-    consumer that processes chunks as they arrive never sees the whole
-    file in memory.
-
-    Rows must be grouped by date in file order (real logger exports
-    are); an out-of-order date raises :class:`IngestError` -- the
-    whole-file parser is the fallback for shuffled files.
-
-    Parameters
-    ----------
-    source:
-        Path or text stream of the raw CSV.
-    channel:
-        Channel header to read (same selection rules as
-        :func:`parse_midc`).
-    resolution_minutes:
-        The file's grid.  When omitted, a :func:`scan_midc` pass infers
-        it first -- which needs a path (or a seekable stream) so the
-        data pass can re-read from the start.
-    """
-    if resolution_minutes is None:
-        info = scan_midc(_rewound(source), channel)
-        resolution = info.resolution_minutes
-    else:
-        resolution = resolution_minutes
-        if resolution <= 0 or MINUTES_PER_DAY % resolution:
-            raise IngestError(
-                f"resolution_minutes must divide a day, got {resolution}"
-            )
-    if isinstance(source, (str, Path)):
-        with _open_path(source) as handle:
-            yield from _iter_days(handle, channel, resolution)
-    elif resolution_minutes is None:
-        yield from _iter_days(_rewound(source), channel, resolution)
-    else:
-        # Explicit resolution: one pass suffices.  Rewind when the
-        # stream supports it (a prior scan pass left it at EOF), but a
-        # one-shot non-seekable stream is fine as-is.
-        seek = getattr(source, "seek", None)
-        if seek is not None:
-            seek(0)
-        yield from _iter_days(source, channel, resolution)
-
-
-def _rewound(source):
-    """``source`` positioned at its start (for multi-pass streaming)."""
-    if isinstance(source, (str, Path)):
-        return source
-    seek = getattr(source, "seek", None)
-    if seek is None:
-        raise IngestError(
-            "streaming needs a file path or a seekable stream when the "
-            "resolution must be inferred (the scan pass re-reads the "
-            "source); pass resolution_minutes= for one-shot streams"
-        )
-    seek(0)
-    return source
-
-
-def _iter_days(
-    handle: TextIO, channel: Optional[str], resolution: int
-) -> Iterator[DayChunk]:
-    reader = _RowReader(handle, channel)
-    spd = MINUTES_PER_DAY // resolution
-    first_ord: Optional[int] = None
-    current: Optional[int] = None
-    buf: Optional[np.ndarray] = None
-    seen: Optional[np.ndarray] = None
-    for line, ordinal, minute, value in reader.iter_rows():
-        if minute % resolution:
-            raise IngestError(
-                f"irregular time grid: minute {minute} is not on the "
-                f"inferred {resolution}-minute grid"
-            )
-        if current is None:
-            first_ord = current = ordinal
-            buf = np.full(spd, np.nan)
-            seen = np.zeros(spd, dtype=bool)
-        elif ordinal != current:
-            if ordinal < current:
-                raise IngestError(
-                    f"row {line}: date {date.fromordinal(ordinal).isoformat()} "
-                    f"after {date.fromordinal(current).isoformat()}; streaming "
-                    "ingest needs rows grouped by date (use parse_midc for "
-                    "shuffled files)"
-                )
-            if ordinal - first_ord + 1 > _MAX_SPAN_DAYS:
-                raise IngestError(
-                    f"file spans {ordinal - first_ord + 1} calendar days "
-                    f"(> {_MAX_SPAN_DAYS}); not a contiguous deployment"
-                )
-            yield DayChunk(current, date.fromordinal(current).isoformat(), buf)
-            for gap in range(current + 1, ordinal):
-                yield DayChunk(
-                    gap, date.fromordinal(gap).isoformat(), np.full(spd, np.nan)
-                )
-            current = ordinal
-            buf = np.full(spd, np.nan)
-            seen = np.zeros(spd, dtype=bool)
-        slot = minute // resolution
-        if seen[slot]:
-            raise IngestError(
-                f"duplicate timestamp: day {ordinal - first_ord + 1}, "
-                f"minute {minute}"
-            )
-        seen[slot] = True
-        buf[slot] = value
-    if current is None:
-        raise IngestError("file contains no data rows")
-    yield DayChunk(current, date.fromordinal(current).isoformat(), buf)
-
-
-def stream_channel(
-    source: Union[str, Path, TextIO], channel: Optional[str] = None
-) -> MIDCChannel:
-    """Assemble a whole :class:`MIDCChannel` through the streaming reader.
-
-    Two bounded-memory passes (scan, then day-by-day data); the result
-    is byte-identical to :func:`parse_midc` for date-grouped files.
-    Useful where the CSV text dwarfs the numeric grid -- the grid is
-    the only whole-file allocation made.
-    """
-    info = scan_midc(_rewound(source), channel)
-    grid = np.empty(info.n_days * info.samples_per_day, dtype=float)
-    spd = info.samples_per_day
-    for i, chunk in enumerate(
-        iter_days(source, channel, resolution_minutes=info.resolution_minutes)
-    ):
-        grid[i * spd : (i + 1) * spd] = chunk.values
-    return MIDCChannel(
-        values=grid,
-        resolution_minutes=info.resolution_minutes,
-        channel=info.channel,
-        channels=info.channels,
-        start_date=info.start_date,
+        channel=channel_name,
+        channels=tuple(name for _, name in channel_cols),
+        start_date=date.fromordinal(first).isoformat(),
     )
 
 
@@ -595,14 +327,14 @@ def _parse_minute(text: str, line: int) -> int:
 
 def _parse_value(text: str, line: int) -> float:
     if not text:
-        return float("nan")
+        return _MISSING
     try:
         value = float(text)
     except ValueError:
         raise IngestError(f"row {line}: non-numeric sample {text!r}")
-    if np.isnan(value) or value <= SENTINEL_CEILING:
-        return float("nan")
-    if not np.isfinite(value):
+    if value != value or value <= SENTINEL_CEILING:
+        return _MISSING
+    if not math.isfinite(value):
         raise IngestError(f"row {line}: non-finite sample {text!r}")
     return value
 

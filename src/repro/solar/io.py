@@ -111,34 +111,40 @@ def _read(handle: TextIO) -> SolarTrace:
 
     handle.seek(position)
     reader = csv.reader(handle)
-    header = next(reader, None)
-    if header != ["day", "minute", "ghi_wm2"]:
-        raise FormatError(f"unexpected column header: {header}")
-
     values = []
     expected_index = 0
     spd = MINUTES_PER_DAY // resolution
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FormatError(f"row {expected_index + 2}: expected 3 fields, got {len(row)}")
-        try:
-            day = int(row[0])
-            minute = int(row[1])
-            value = float(row[2])
-        except ValueError as exc:
-            raise FormatError(f"row {expected_index + 2}: {exc}")
-        want_day = expected_index // spd + 1
-        want_minute = (expected_index % spd) * resolution
-        if day != want_day or minute != want_minute:
-            raise FormatError(
-                f"row {expected_index + 2}: time grid mismatch "
-                f"(got day={day} minute={minute}, "
-                f"expected day={want_day} minute={want_minute})"
-            )
-        values.append(value)
-        expected_index += 1
+    try:
+        header = next(reader, None)
+        if header != ["day", "minute", "ghi_wm2"]:
+            raise FormatError(f"unexpected column header: {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise FormatError(
+                    f"row {expected_index + 2}: expected 3 fields, got {len(row)}"
+                )
+            try:
+                day = int(row[0])
+                minute = int(row[1])
+                value = float(row[2])
+            except ValueError as exc:
+                raise FormatError(f"row {expected_index + 2}: {exc}")
+            want_day = expected_index // spd + 1
+            want_minute = (expected_index % spd) * resolution
+            if day != want_day or minute != want_minute:
+                raise FormatError(
+                    f"row {expected_index + 2}: time grid mismatch "
+                    f"(got day={day} minute={minute}, "
+                    f"expected day={want_day} minute={want_minute})"
+                )
+            values.append(value)
+            expected_index += 1
+    except csv.Error as exc:
+        # csv's own refusals (an oversized field, a bare carriage return
+        # inside a field) are format errors of the line it was reading.
+        raise FormatError(f"row {reader.line_num}: {exc}") from None
 
     if not values:
         raise FormatError("file contains no samples")

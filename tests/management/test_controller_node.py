@@ -95,6 +95,35 @@ def test_non_finite_capacity_rejected(cls, capacity):
         cls(LOAD, capacity)
 
 
+@pytest.mark.parametrize("duty", [np.nan, np.array([0.2, np.nan])])
+def test_nan_fixed_duty_rejected(duty):
+    with pytest.raises(ValueError, match="duty"):
+        FixedDutyController(duty)
+
+
+@pytest.mark.parametrize(
+    "cls", [KansalController, OracleController, MinimumVarianceController]
+)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("target_soc", np.nan),
+        ("correction_gain", np.nan),
+        ("correction_gain", np.inf),
+        ("horizon_seconds", np.nan),
+        ("horizon_seconds", np.inf),
+    ],
+)
+def test_non_finite_steering_rejected(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(LOAD, 250.0, **{field: value})
+
+
+def test_nan_smoothing_rejected():
+    with pytest.raises(ValueError, match="smoothing"):
+        MinimumVarianceController(LOAD, 250.0, smoothing=np.nan)
+
+
 class TestNodeSimulation:
     def make_sim(self, trace, predictor=None, controller=None, storage=None):
         predictor = predictor or WCMAPredictor(48, WCMAParams(0.7, 5, 2))

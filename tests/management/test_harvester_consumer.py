@@ -42,6 +42,23 @@ class TestPVHarvester:
             harvester.energy(100.0, -1.0)
 
 
+@pytest.mark.parametrize("area", [np.nan, np.inf])
+def test_non_finite_panel_area_rejected(area):
+    with pytest.raises(ValueError, match="area_m2"):
+        PVHarvester(area_m2=area)
+
+
+@pytest.mark.parametrize(
+    "field", ["active_power_watts", "sleep_power_watts", "min_duty", "max_duty"]
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, np.array([0.5, np.nan])])
+def test_non_finite_load_rejected(field, value):
+    """Each bound is an inclusion test, so NaN and infinity fail it
+    (``x <= 0`` alone is False for NaN)."""
+    with pytest.raises(ValueError):
+        DutyCycledLoad(**{field: value})
+
+
 class TestDutyCycledLoad:
     def test_power_endpoints(self):
         load = DutyCycledLoad(

@@ -97,6 +97,30 @@ def test_non_finite_capacity_rejected(cls, capacity):
         cls(capacity_joules=capacity)
 
 
+@pytest.mark.parametrize("cls", [Battery, Supercapacitor])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("charge_efficiency", np.nan),
+        ("discharge_efficiency", np.nan),
+        ("initial_soc", np.nan),
+        ("initial_soc", np.array([0.5, np.nan])),
+    ],
+)
+def test_nan_parameters_rejected(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(250.0, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "cls, field", [(Battery, "leakage_watts"), (Supercapacitor, "leakage_watts_full")]
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_leakage_rejected(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(250.0, **{field: value})
+
+
 class TestSupercapacitor:
     def test_leakage_scales_with_soc(self):
         full = Supercapacitor(100.0, leakage_watts_full=1.0, initial_soc=1.0)

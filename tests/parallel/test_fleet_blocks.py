@@ -119,6 +119,24 @@ class TestFleetPlan:
         with pytest.raises(ValueError, match=match):
             FleetPlan(n_nodes=2, **change)
 
+    @pytest.mark.parametrize("field, value", [
+        ("panel_area_m2", float("nan")),
+        ("panel_area_m2", float("inf")),
+        ("panel_area_m2", 0.0),
+        ("active_power_watts", float("nan")),
+        ("active_power_watts", float("inf")),
+        ("sleep_power_watts", float("nan")),
+        ("sleep_power_watts", float("inf")),
+        ("sleep_power_watts", -1e-6),
+        ("supercap_threshold_joules", float("nan")),
+        ("supercap_threshold_joules", -1.0),
+    ])
+    def test_rejects_bad_hardware_floats(self, field, value):
+        """A NaN panel or load ran to NaN duty cycles node by node; the
+        plan now refuses it when it is made."""
+        with pytest.raises(ValueError, match=field):
+            FleetPlan(n_nodes=2, n_days=2, **{field: value})
+
     def test_blocks_rebuild_the_same_fleet(self):
         specs = build_fleet_specs(PLAN)
         assert len(specs) == PLAN.n_nodes

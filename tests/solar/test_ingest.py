@@ -1,11 +1,12 @@
 """Tests for the real-dataset ingestion pipeline.
 
 Covers the MIDC-shaped parser (channel selection, missing-data forms,
-grid inference, error paths), the quality-flag detectors (hand-built
-cases plus hypothesis determinism/disjointness properties), the clean
-repair, the replay round trip on the bundled sample (the acceptance
-property: masks byte-identical, values exact), and measured-site
-registration through the experiment stack.
+grid inference, error paths; every case also pinned bit for bit to the
+frozen parser in ``tests/oracles/midc.py``), the quality-flag
+detectors (hand-built cases plus hypothesis determinism/disjointness
+properties), the clean repair, the replay round trip on the bundled
+sample (the acceptance property: masks byte-identical, values exact),
+and measured-site registration through the experiment stack.
 """
 
 import io
@@ -34,7 +35,6 @@ from repro.solar.ingest import (
     format_ingest_report,
     ingest_csv,
     ingest_sample,
-    parse_midc,
     sample_csv_path,
 )
 from repro.solar.ingest.replay import (
@@ -52,6 +52,7 @@ from repro.solar.ingest.sites import (
 from repro.solar.scenarios import Scenario
 from repro.solar.sites import SITE_ORDER
 from repro.solar.trace import SolarTrace
+from tests.oracles.midc import checked_parse_midc
 
 
 HEADER = "DATE (MM/DD/YYYY),MST,Global Horizontal [W/m^2],Air Temperature [deg C]"
@@ -79,7 +80,7 @@ def measured_registry_guard():
 
 class TestParser:
     def test_basic_grid_and_resolution(self):
-        parsed = parse_midc(io.StringIO(midc_text(hourly_rows(days=2))))
+        parsed = checked_parse_midc(io.StringIO(midc_text(hourly_rows(days=2))))
         assert parsed.resolution_minutes == 60
         assert parsed.samples_per_day == 24
         assert parsed.n_days == 2
@@ -92,12 +93,12 @@ class TestParser:
     def test_default_channel_prefers_global(self):
         header = "DATE,MST,Direct Normal [W/m^2],Global Horizontal [W/m^2]"
         rows = ["03/01/2010,%02d:00,1.0,2.0" % h for h in range(24)]
-        parsed = parse_midc(io.StringIO(midc_text(rows, header)))
+        parsed = checked_parse_midc(io.StringIO(midc_text(rows, header)))
         assert parsed.channel == "Global Horizontal [W/m^2]"
         assert parsed.values[12] == 2.0
 
     def test_channel_substring_selection(self):
-        parsed = parse_midc(
+        parsed = checked_parse_midc(
             io.StringIO(midc_text(hourly_rows())), channel="air temp"
         )
         assert parsed.channel == "Air Temperature [deg C]"
@@ -105,13 +106,13 @@ class TestParser:
 
     def test_unknown_channel_lists_available(self):
         with pytest.raises(IngestError, match="unknown channel.*Global"):
-            parse_midc(io.StringIO(midc_text(hourly_rows())), channel="nope")
+            checked_parse_midc(io.StringIO(midc_text(hourly_rows())), channel="nope")
 
     def test_rows_in_any_order(self):
         rows = hourly_rows()
         shuffled = rows[::-1]
-        a = parse_midc(io.StringIO(midc_text(rows)))
-        b = parse_midc(io.StringIO(midc_text(shuffled)))
+        a = checked_parse_midc(io.StringIO(midc_text(rows)))
+        b = checked_parse_midc(io.StringIO(midc_text(shuffled)))
         assert a.values.tobytes() == b.values.tobytes()
 
     def test_missing_forms_become_nan(self):
@@ -119,7 +120,7 @@ class TestParser:
         rows[10] = "03/01/2010,10:00,,5.0"        # empty cell
         rows[11] = "03/01/2010,11:00,-99999,5.0"  # sentinel
         del rows[12]                              # absent row
-        parsed = parse_midc(io.StringIO(midc_text(rows)))
+        parsed = checked_parse_midc(io.StringIO(midc_text(rows)))
         assert np.isnan(parsed.values[[10, 11, 12]]).all()
         assert parsed.values[13] == 100.0
 
@@ -127,67 +128,67 @@ class TestParser:
         rows = hourly_rows(days=1) + [
             f"03/03/2010,{h:02d}:00,50.0,5.0" for h in range(24)
         ]
-        parsed = parse_midc(io.StringIO(midc_text(rows)))
+        parsed = checked_parse_midc(io.StringIO(midc_text(rows)))
         assert parsed.n_days == 3
         assert np.isnan(parsed.values[24:48]).all()
 
     def test_iso_dates_accepted(self):
         rows = [f"2010-03-01,{h:02d}:00,42.0,5.0" for h in range(24)]
-        parsed = parse_midc(io.StringIO(midc_text(rows)))
+        parsed = checked_parse_midc(io.StringIO(midc_text(rows)))
         assert parsed.start_date == "2010-03-01"
 
     def test_negative_values_survive_parse(self):
         rows = hourly_rows(value=lambda d, h: -1.5 if h < 6 else 100.0)
-        parsed = parse_midc(io.StringIO(midc_text(rows)))
+        parsed = checked_parse_midc(io.StringIO(midc_text(rows)))
         assert parsed.values[0] == -1.5  # clipping happens at ingest
 
 
 class TestParserErrors:
     def test_empty_file(self):
         with pytest.raises(IngestError, match="empty"):
-            parse_midc(io.StringIO(""))
+            checked_parse_midc(io.StringIO(""))
 
     def test_no_date_column(self):
         text = "TIMESTAMP,GHI\n1,2\n"
         with pytest.raises(IngestError, match="date column"):
-            parse_midc(io.StringIO(text))
+            checked_parse_midc(io.StringIO(text))
 
     def test_no_time_column(self):
         text = "DATE,GHI\n03/01/2010,2\n"
         with pytest.raises(IngestError, match="time column"):
-            parse_midc(io.StringIO(text))
+            checked_parse_midc(io.StringIO(text))
 
     def test_no_channels(self):
         text = "DATE,MST\n03/01/2010,00:00\n"
         with pytest.raises(IngestError, match="no measurement channels"):
-            parse_midc(io.StringIO(text))
+            checked_parse_midc(io.StringIO(text))
 
     def test_header_only(self):
         with pytest.raises(IngestError, match="no data rows"):
-            parse_midc(io.StringIO(HEADER + "\n"))
+            checked_parse_midc(io.StringIO(HEADER + "\n"))
 
     def test_bad_date(self):
         rows = hourly_rows()
         rows[3] = "garbage,03:00,1.0,5.0"
         with pytest.raises(IngestError, match="cannot parse date"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
     def test_bad_time(self):
         rows = hourly_rows()
         rows[3] = "03/01/2010,25:00,1.0,5.0"
         with pytest.raises(IngestError, match="time"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
     def test_non_numeric_sample(self):
         rows = hourly_rows()
         rows[3] = "03/01/2010,03:00,abc,5.0"
         with pytest.raises(IngestError, match="non-numeric"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
     def test_duplicate_timestamp(self):
         rows = hourly_rows() + ["03/01/2010,07:00,1.0,5.0"]
         with pytest.raises(IngestError, match="duplicate timestamp"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
     def test_irregular_grid(self):
         rows = [
@@ -196,24 +197,24 @@ class TestParserErrors:
             "03/01/2010,00:24,1.0,5.0",  # not on the 10-minute grid
         ]
         with pytest.raises(IngestError, match="irregular time grid"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
     def test_non_divisor_resolution(self):
         rows = [f"03/01/2010,00:{m:02d},1.0,5.0" for m in (0, 7, 14, 21)]
         with pytest.raises(IngestError, match="does not divide a day"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
     def test_stray_offgrid_row_rejected_loudly(self):
         """One logger hiccup must not silently halve the inferred grid."""
         rows = hourly_rows() + ["03/01/2010,07:30,1.0,5.0"]
         with pytest.raises(IngestError, match="irregular time grid"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
     def test_short_row(self):
         rows = hourly_rows()
         rows[3] = "03/01/2010"
         with pytest.raises(IngestError, match="expected at least"):
-            parse_midc(io.StringIO(midc_text(rows)))
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
 
 class TestIngestAndResample:

@@ -1,34 +1,28 @@
-"""Tests for the streaming ingest path and the parser hardening.
+"""Tests for the MIDC reader's stream contract and the parser hardening.
 
-The acceptance property of the streaming reader is *byte-identity*:
-``ingest_stream`` (and the lower-level ``stream_channel``) must produce
-exactly the bits of the whole-file path on any date-grouped file, while
-holding at most one day of samples at a time.  Covered here: parity on
-the bundled sample and on hypothesis-generated files, bounded-memory
-laziness (consumption tracking), the streaming-only error paths
-(out-of-order dates, non-seekable sources), the BOM/CRLF/sentinel-
-whitespace hardening, and the thread safety of the measured-site ingest
-memo.
+``parse_midc`` is the one reader: one pass over a path or any iterable
+of text lines (seekable or not), rows in any order, kept in typed
+arrays.  Its acceptance property is *bit-identity* with the frozen
+list-based parser in ``tests/oracles/midc.py``: the same grid bytes and
+metadata, or the same ``IngestError`` text, on the bundled sample, a
+one-shot line iterator and hypothesis-generated files with shuffled,
+duplicate and off-grid rows.  Also covered: the per-row memory ceiling,
+the CSV layer's own errors, the sample's ingest bytes, the BOM/CRLF/
+sentinel-whitespace hardening, and the thread safety of the
+measured-site ingest memo.
 """
 
+import hashlib
 import io
-import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solar.ingest import (
-    IngestError,
-    ingest_csv,
-    ingest_stream,
-    iter_days,
-    parse_midc,
-    sample_csv_path,
-    scan_midc,
-    stream_channel,
-)
+from repro.solar.ingest import IngestError, ingest_csv, parse_midc, sample_csv_path
+from tests.oracles.midc import checked_parse_midc, parse_outcome, reference_parse_midc
 
 
 HEADER = "DATE (MM/DD/YYYY),MST,Global Horizontal [W/m^2],Air Temperature [deg C]"
@@ -56,167 +50,74 @@ def assert_channels_identical(streamed, parsed):
     assert streamed.start_date == parsed.start_date
 
 
-class TestScan:
-    def test_metadata_matches_whole_file_parse(self):
-        text = midc_text(hourly_rows(days=3))
-        info = scan_midc(io.StringIO(text))
-        parsed = parse_midc(io.StringIO(text))
-        assert info.resolution_minutes == parsed.resolution_minutes
-        assert info.channel == parsed.channel
-        assert info.channels == parsed.channels
-        assert info.n_days == parsed.n_days
-        assert info.samples_per_day == parsed.samples_per_day
-        assert info.start_date == parsed.start_date
-        assert info.n_rows == 72
+class TestOracleParity:
+    def test_sample_file_identical(self):
+        checked_parse_midc(sample_csv_path())
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [],
-            ["03/01/2010,00:00,100.0,5.0", "03/01/2010,00:17,50.0,5.0"],
-        ],
-        ids=["empty", "off-grid"],
-    )
-    def test_error_parity_with_parse(self, rows):
-        text = midc_text(rows)
-        with pytest.raises(IngestError) as parse_err:
-            parse_midc(io.StringIO(text))
-        with pytest.raises(IngestError) as scan_err:
-            scan_midc(io.StringIO(text))
-        assert str(scan_err.value) == str(parse_err.value)
+    def test_one_shot_line_iterator(self):
+        """A non-seekable source is read once, in any row order."""
+        text = sample_csv_path().read_text()
+        header, *rows = text.splitlines(keepends=True)
+        lines = iter([header] + rows[::-1])
+        assert not hasattr(lines, "seek")
+        assert_channels_identical(parse_midc(lines), reference_parse_midc(sample_csv_path()))
 
     def test_span_guard(self):
         rows = [
             "01/01/2010,00:00,1.0,5.0",
             "01/01/2019,00:00,1.0,5.0",
         ]
-        with pytest.raises(IngestError, match="spans"):
-            scan_midc(io.StringIO(midc_text(rows)))
+        with pytest.raises(IngestError, match="spans 3288 calendar days"):
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
+    @pytest.mark.parametrize(
+        "rows, first_fault",
+        [
+            # Off-grid rows (the modal step is 60) and a duplicate and a
+            # span fault: the first off-grid row in file order wins.
+            (hourly_rows() + ["03/01/2010,07:40,1,5", "03/01/2010,05:20,1,5",
+                              "03/01/2010,07:00,1,5", "03/01/2019,00:00,1,5"],
+             "minute 460 is not on the inferred 60-minute grid"),
+            # Span beats duplicates.
+            (hourly_rows() + ["03/01/2010,07:00,1,5", "03/01/2019,00:00,1,5"],
+             "spans 3288 calendar days"),
+            # The first row, in file order, that repeats a taken slot.
+            (hourly_rows(days=2)[::-1] + ["03/02/2010,09:00,1,5",
+                                          "03/01/2010,03:00,1,5"],
+             "duplicate timestamp: day 2, minute 540"),
+            # A resolution that does not divide a day beats everything.
+            ([f"03/01/2010,00:{m:02d},1.0,5.0" for m in (0, 7, 14, 21, 3)],
+             "inferred native resolution 7 minutes does not divide a day"),
+        ],
+        ids=["off-grid", "span", "duplicate", "resolution"],
+    )
+    def test_multi_fault_order(self, rows, first_fault):
+        with pytest.raises(IngestError, match=first_fault):
+            checked_parse_midc(io.StringIO(midc_text(rows)))
 
-class TestIterDays:
-    def test_chunks_match_parse_day_rows(self):
-        text = midc_text(hourly_rows(days=4))
-        parsed = parse_midc(io.StringIO(text))
-        days = parsed.values.reshape(parsed.n_days, -1)
-        chunks = list(iter_days(io.StringIO(text)))
-        assert len(chunks) == parsed.n_days
-        for i, chunk in enumerate(chunks):
-            assert chunk.values.tobytes() == days[i].tobytes()
-            assert chunk.values.size == parsed.samples_per_day
-        assert chunks[0].date == parsed.start_date
-
-    def test_gap_days_yielded_all_nan(self):
-        rows = [
-            "03/01/2010,00:00,10.0,5.0",
-            "03/01/2010,01:00,20.0,5.0",
-            "03/04/2010,00:00,30.0,5.0",
-        ]
-        chunks = list(iter_days(io.StringIO(midc_text(rows))))
-        assert [c.date for c in chunks] == [
-            "2010-03-01", "2010-03-02", "2010-03-03", "2010-03-04",
-        ]
-        assert np.all(np.isnan(chunks[1].values))
-        assert np.all(np.isnan(chunks[2].values))
-
-    def test_out_of_order_dates_rejected(self):
-        rows = [
-            "03/02/2010,00:00,10.0,5.0",
-            "03/01/2010,00:00,20.0,5.0",
-        ]
-        with pytest.raises(IngestError, match="grouped by date"):
-            list(iter_days(io.StringIO(midc_text(rows))))
-
-    def test_duplicate_timestamp_rejected(self):
-        rows = [
-            "03/01/2010,00:00,10.0,5.0",
-            "03/01/2010,00:00,20.0,5.0",
-        ]
-        with pytest.raises(IngestError, match="duplicate timestamp"):
-            list(iter_days(io.StringIO(midc_text(rows))))
-
-    def test_lazy_one_day_lookahead(self):
-        """Consuming a chunk reads at most one day past its rows."""
-        n_days = 10
-        text = midc_text(hourly_rows(days=n_days))
-
-        class CountingLines:
-            def __init__(self, text):
-                self._lines = iter(text.splitlines(keepends=True))
-                self.consumed = 0
-
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                line = next(self._lines)
-                self.consumed += 1
-                return line
-
-        source = CountingLines(text)
-        chunks = iter_days(source, resolution_minutes=60)
-        next(chunks)
-        # Day 1 is yielded once day 2's first row shows the date change:
-        # header + 24 rows of day 1 + at most a handful of day-2 rows.
-        assert source.consumed <= 1 + 24 + 2
-        remaining = list(chunks)
-        assert len(remaining) == n_days - 1
-
-    def test_non_seekable_stream_needs_explicit_resolution(self):
-        text = midc_text(hourly_rows(days=1))
-
-        lines = iter(text.splitlines(keepends=True))
-        with pytest.raises(IngestError, match="resolution_minutes"):
-            list(iter_days(lines))
-        # Same one-shot source works once the scan pass is unnecessary.
-        lines = iter(text.splitlines(keepends=True))
-        chunks = list(iter_days(lines, resolution_minutes=60))
-        assert len(chunks) == 1
-
-    def test_bad_explicit_resolution(self):
-        with pytest.raises(IngestError, match="divide a day"):
-            list(iter_days(io.StringIO(midc_text(hourly_rows())), resolution_minutes=7))
+    def test_missing_spellings_share_one_nan(self):
+        """``-nan``, ``nan``, sentinels and empty cells store the same bits."""
+        rows = [f"03/01/2010,{h:02d}:00,{cell},5.0"
+                for h, cell in enumerate(["-nan", "nan", "NaN", "", "-99999", "-inf"])]
+        parsed = checked_parse_midc(io.StringIO(midc_text(rows)))
+        assert len({v.tobytes() for v in parsed.values[:6]}) == 1
 
 
 class TestStreamParity:
-    def test_sample_file_stream_channel_identical(self):
-        streamed = stream_channel(sample_csv_path())
-        parsed = parse_midc(sample_csv_path())
-        assert_channels_identical(streamed, parsed)
-
-    @pytest.mark.parametrize("resolution", [None, 15])
-    def test_sample_file_ingest_stream_identical(self, resolution):
-        whole = ingest_csv(sample_csv_path(), resolution_minutes=resolution)
-        streamed = ingest_stream(sample_csv_path(), resolution_minutes=resolution)
-        assert streamed.raw.values.tobytes() == whole.raw.values.tobytes()
-        assert streamed.clean.values.tobytes() == whole.clean.values.tobytes()
-        for flag in ("missing", "spike", "stuck", "dropout"):
-            assert (
-                getattr(streamed.report, flag).tobytes()
-                == getattr(whole.report, flag).tobytes()
-            )
-        assert streamed.start_date == whole.start_date
-        assert streamed.channel == whole.channel
-        assert streamed.native_resolution_minutes == whole.native_resolution_minutes
-        # The replay round trip survives the streaming path too.
-        np.testing.assert_array_equal(
-            streamed.scenario.apply(streamed.clean).values, streamed.raw.values
-        )
-
     def test_seekable_stream_source(self):
+        """A seekable stream is read once, from where it stands: never rewound."""
         text = midc_text(hourly_rows(days=3))
-        whole = ingest_csv(io.StringIO(text))
-        streamed = ingest_stream(io.StringIO(text))
-        assert streamed.clean.values.tobytes() == whole.clean.values.tobytes()
-
-    def test_non_seekable_stream_rejected_clearly(self):
-        text = midc_text(hourly_rows(days=1))
-        with pytest.raises(IngestError, match="two passes"):
-            ingest_stream(iter(text.splitlines(keepends=True)))
+        stream = io.StringIO("logger preamble\n" + text)
+        stream.readline()
+        parsed = parse_midc(stream)
+        assert stream.read() == ""
+        assert_channels_identical(parsed, reference_parse_midc(io.StringIO(text)))
 
     # Generated files: arbitrary day patterns with missing cells,
-    # sentinel values and absent rows must stream byte-identically.
-    @settings(max_examples=40, deadline=None)
+    # sentinel values, absent rows, shuffled rows and injected
+    # duplicate and off-grid rows must parse bit-identically to the
+    # frozen parser, or fail with its error text.
+    @settings(max_examples=60, deadline=None)
     @given(
         data=st.lists(
             st.lists(
@@ -224,33 +125,108 @@ class TestStreamParity:
                     st.none(),  # row absent
                     st.just("-9999"),  # sentinel -> NaN
                     st.just(""),  # empty cell -> NaN
-                    st.floats(0, 900, allow_nan=False).map(lambda v: f"{v:.1f}"),
+                    st.sampled_from(["nan", "-nan", "inf", "-inf"]),
+                    st.floats(-5, 900, allow_nan=False).map(lambda v: f"{v:.1f}"),
                 ),
                 min_size=24,
                 max_size=24,
             ),
             min_size=1,
             max_size=5,
-        )
+        ),
+        extra=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 1439)), max_size=3
+        ),
+        order=st.randoms(use_true_random=False),
+        shuffle=st.booleans(),
     )
-    def test_generated_files_stream_identically(self, data):
+    def test_generated_files_stream_identically(self, data, extra, order, shuffle):
         rows = []
         for day, cells in enumerate(data):
             for hour, cell in enumerate(cells):
                 if cell is None:
                     continue
                 rows.append(f"03/{day + 1:02d}/2010,{hour:02d}:00,{cell},5.0")
+        # Extra rows land on the hourly grid (duplicates) or off it.
+        rows += [f"03/{day + 1:02d}/2010,{m // 60:02d}:{m % 60:02d},1.0,5.0"
+                 for day, m in extra]
+        if shuffle:
+            order.shuffle(rows)
         text = midc_text(rows)
-        try:
-            parsed = parse_midc(io.StringIO(text))
-        except IngestError as exc:
-            # Degenerate inputs (no rows, or too few distinct minutes to
-            # infer the grid) must fail identically in both paths.
-            with pytest.raises(IngestError, match=re.escape(str(exc))):
-                stream_channel(io.StringIO(text))
-            return
-        streamed = stream_channel(io.StringIO(text))
-        assert_channels_identical(streamed, parsed)
+        expected = parse_outcome(reference_parse_midc, io.StringIO(text))
+        assert parse_outcome(parse_midc, io.StringIO(text)) == expected
+        lines = iter(text.splitlines(keepends=True))
+        assert parse_outcome(parse_midc, lines) == expected
+
+
+class TestSampleIngestBytes:
+    #: sha256 over the raw and clean values and the missing, spike,
+    #: stuck and dropout masks of the bundled sample's ingestion, as the
+    #: list-based reader produced them.
+    PINS = {
+        None: "9232f8f21217f1fd6161e02fefe5046f4885ae1320fa1a9a30a373fe5aae0403",
+        15: "cfa89e63a379b7a3da069a4219999d779db24a4096a07dd7db0daf8833d3ef24",
+    }
+
+    @pytest.mark.parametrize("resolution", [None, 15])
+    def test_sample_ingest_bytes_pinned(self, resolution):
+        result = ingest_csv(sample_csv_path(), resolution_minutes=resolution)
+        digest = hashlib.sha256()
+        for array in (result.raw.values, result.clean.values) + tuple(
+            getattr(result.report, flag)
+            for flag in ("missing", "spike", "stuck", "dropout")
+        ):
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.PINS[resolution]
+        assert (
+            result.scenario.apply(result.clean).values.tobytes()
+            == result.raw.values.tobytes()
+        )
+
+
+def test_peak_memory_per_row(tmp_path):
+    """A 30-day, 1-minute, single-channel file (43,200 rows) read from
+    a path peaks at no more than 64 bytes of traced memory per row."""
+    path = tmp_path / "month.csv"
+    with open(path, "w") as handle:
+        handle.write("DATE,MST,Global Horizontal [W/m^2]\n")
+        for day in range(30):
+            for minute in range(1440):
+                handle.write(
+                    f"03/{day + 1:02d}/2010,{minute // 60:02d}:{minute % 60:02d},"
+                    f"{minute % 700 * 1.5:.1f}\n"
+                )
+    # Warm up first: one-time allocations (numpy's lazy internals) are
+    # not a per-row cost.
+    parse_midc(io.StringIO(midc_text(hourly_rows())))
+    tracemalloc.start()
+    try:
+        parsed = parse_midc(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.values.size == 30 * 1440
+    assert peak <= 64 * 30 * 1440, f"{peak / (30 * 1440):.1f} B/row"
+
+
+class TestCsvErrors:
+    """The CSV layer's own errors end as IngestError naming the row."""
+
+    def test_oversized_field(self):
+        rows = hourly_rows()
+        rows[2] = "03/01/2010,02:00," + "1" * 200_000 + ",5.0"
+        with pytest.raises(IngestError, match=r"^row 4: field larger than field limit"):
+            parse_midc(io.StringIO(midc_text(rows)))
+
+    def test_oversized_header_field(self):
+        with pytest.raises(IngestError, match=r"^row 1: field larger"):
+            parse_midc(io.StringIO("DATE,MST," + "G" * 200_000 + "\n"))
+
+    def test_bare_carriage_return_in_stream(self):
+        rows = hourly_rows()
+        rows[0] = "03/01/2010,00:00,1\r2,5.0"
+        with pytest.raises(IngestError, match=r"^row 2: new-line character"):
+            parse_midc(io.StringIO(midc_text(rows)))
 
 
 class TestParserHardening:
@@ -269,8 +245,7 @@ class TestParserHardening:
         path = tmp_path / "bom.csv"
         path.write_bytes(self.bom_crlf_text().encode("utf-8"))
         plain = parse_midc(io.StringIO(midc_text(hourly_rows(days=2))))
-        for read in (parse_midc, stream_channel):
-            assert_channels_identical(read(path), plain)
+        assert_channels_identical(parse_midc(path), plain)
 
     def test_utf8_sig_double_bom_path(self, tmp_path):
         # Files saved by BOM-happy tooling: encoder adds its own BOM.
@@ -290,8 +265,6 @@ class TestParserHardening:
         assert np.isnan(parsed.values[0])
         assert np.isnan(parsed.values[1])
         assert parsed.values[2] == 42.0
-        streamed = stream_channel(io.StringIO(midc_text(rows)))
-        assert streamed.values.tobytes() == parsed.values.tobytes()
 
 
 class TestIngestMemoLock:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cli import build_parser, main
 from repro.solar.io import read_csv
@@ -201,6 +202,116 @@ class TestEmptyRegionExitsCleanly:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert "try a longer --days" in err
+
+
+MIDC_HEADER = "DATE,MST,Global [W/m^2]"
+TRACE_HEADER = "# repro-solar-trace v1\n# name: P\n# resolution_minutes: 60\nday,minute,ghi_wm2"
+OVERSIZED = "1" * 200_000  # past csv's 131,072-character field limit
+
+
+def one_error_line(err):
+    lines = err.splitlines()
+    return len([line for line in lines if line.startswith("error:")]) == 1 and (
+        "Traceback" not in err
+    )
+
+
+class TestHostileFilesExitCleanly:
+    """A file csv itself refuses (here a field past its limit) is one
+    error line and status 2 at every entry point that reads one."""
+
+    @pytest.fixture(autouse=True)
+    def _cleanup_registry(self):
+        yield
+        from repro.solar.ingest.sites import clear_measured_sites
+
+        clear_measured_sites()
+
+    @pytest.mark.parametrize(
+        "command, header, row",
+        [
+            (["ingest"], MIDC_HEADER, "03/01/2010,00:00,"),
+            (["robustness", "--trace"], MIDC_HEADER, "03/01/2010,00:00,"),
+            (["serve", "--trace"], MIDC_HEADER, "03/01/2010,00:00,"),
+            (["tune", "--trace"], TRACE_HEADER, "1,0,"),
+            (["compare", "--trace"], TRACE_HEADER, "1,0,"),
+            (["summarize", "--trace"], TRACE_HEADER, "1,0,"),
+        ],
+        ids=["ingest", "robustness", "serve", "tune", "compare", "summarize"],
+    )
+    def test_oversized_field(self, command, header, row, tmp_path, capsys):
+        path = tmp_path / "hostile.csv"
+        path.write_text(f"{header}\n{row}{OVERSIZED}\n")
+        assert main(command + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        assert "row 2: field larger than field limit" in err
+
+
+_CELLS = st.one_of(
+    st.floats(-5.0, 1500.0, allow_nan=False).map(lambda v: f"{v:.1f}"),
+    st.sampled_from(["", "-99999", "nan", "-nan", "-inf", " 42 "]),
+)
+
+
+@st.composite
+def malformed_files(draw):
+    """Bytes of a small MIDC or repro-solar-trace file with defects:
+    absent, duplicate, off-grid and shuffled rows, sentinels, empty
+    cells, ``nan``/``inf``, invalid UTF-8 and an oversized field."""
+    def sometimes():
+        return draw(st.integers(0, 3)) == 0
+
+    kind = draw(st.sampled_from(["midc", "trace"]))
+    rows = [
+        [day, hour * 60, draw(_CELLS)]
+        for day in range(draw(st.integers(1, 2)))
+        for hour in range(24)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    if sometimes():
+        rows.append(list(draw(st.sampled_from(rows))))  # duplicate
+    if sometimes():
+        draw(st.sampled_from(rows))[1] += draw(st.integers(1, 59))  # off-grid
+    if sometimes():
+        draw(st.randoms(use_true_random=False)).shuffle(rows)
+    for bad in ("inf", "abc", OVERSIZED):
+        if sometimes():
+            draw(st.sampled_from(rows))[2] = bad
+    if kind == "midc":
+        lines = [MIDC_HEADER] + [
+            f"03/{day + 1:02d}/2010,{m // 60:02d}:{m % 60:02d},{cell}"
+            for day, m, cell in rows
+        ]
+    else:
+        lines = [TRACE_HEADER] + [f"{day + 1},{m},{cell}" for day, m, cell in rows]
+    data = ("\n".join(lines) + "\n").encode()
+    if sometimes():
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff\xfe" + data[at:]
+    return data
+
+
+class TestFileInputContract:
+    """Whatever a file holds, ``ingest`` and ``tune --trace`` end in
+    status 0 or 2; no exception escapes ``main``."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=malformed_files())
+    def test_malformed_files_exit_0_or_2(self, data, tmp_path, capsys):
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        for argv in (["ingest", str(path)], ["tune", "--trace", str(path), "--n", "24"]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2)
+            if code == 2:
+                assert one_error_line(err)
 
 
 class TestCommands:
