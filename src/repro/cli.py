@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.experiments.fleet import CONTROLLER_KINDS
@@ -41,6 +42,7 @@ from repro.metrics.roi import EmptyRegionError
 from repro.solar.datasets import available_datasets, build_dataset
 from repro.solar.io import write_csv
 from repro.solar.scenarios import DEFAULT_SCENARIO_SEED, available_scenarios
+from repro.solar.slots import check_n_slots
 
 __all__ = ["main", "build_parser"]
 
@@ -451,12 +453,50 @@ def _load_trace(args):
 
     trace = read_csv(args.trace)
     check_n_days(trace.n_days, {args.command: MIN_SWEEP_N_DAYS})
-    if trace.samples_per_day % args.n:
-        raise ValueError(
-            f"N={args.n} does not divide samples per day "
-            f"({trace.samples_per_day}) of trace {trace.name!r}"
-        )
+    check_n_slots(args.n, trace.samples_per_day, f"trace {trace.name!r}")
     return trace
+
+
+class _Refused(Exception):
+    """An input the command cannot use: one ``error:`` line, status 2."""
+
+
+@contextmanager
+def _measured_trace(args, needs=None):
+    """``--trace`` registered as a measured site while the block runs.
+
+    Yields ``None`` without ``--trace``.  A file that cannot be read or
+    ingested, an ``--n`` that does not divide its samples per day and,
+    with ``needs`` (as :func:`~repro.experiments.common.check_n_days`
+    takes it), a trace too short to score are :class:`_Refused`.  The
+    registration is a per-invocation side effect: it is dropped when the
+    block ends, on error too, so repeated in-process :func:`main` calls
+    start clean.
+    """
+    if args.trace is None:
+        yield None
+        return
+    from repro.experiments.common import check_n_days
+    from repro.solar.ingest.sites import register_measured_site, unregister_measured_site
+
+    measured = None
+    try:
+        try:
+            measured = register_measured_site(
+                args.trace,
+                channel=args.trace_channel,
+                resolution_minutes=args.trace_resolution,
+                overwrite=True,
+            )
+            check_n_slots(args.n, measured.samples_per_day, f"trace {measured.name}")
+            if needs is not None:
+                check_n_days(min(args.days, measured.n_days), needs)
+        except (OSError, ValueError) as exc:
+            raise _Refused(str(exc)) from None
+        yield measured
+    finally:
+        if measured is not None:
+            unregister_measured_site(measured.name)
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -535,7 +575,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     non-positive ``--jobs``) exit through argparse with status 2;
     unknown site/predictor names are rejected by :func:`_validate_names`
     before any work starts, printed as one clear ``error:`` line, also
-    with status 2.  Past validation, only one library error is caught:
+    with status 2.  So is an input file the command cannot use, refused
+    as it is read.  Past validation, only one library error is caught:
     :class:`~repro.metrics.roi.EmptyRegionError`, a trace whose scored
     days all sit below the region-of-interest threshold (a property of
     the data, e.g. a short run whose last days are overcast), printed
@@ -551,6 +592,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return _dispatch(args)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except EmptyRegionError as exc:
         print(f"error: {exc} (try a longer --days)", file=sys.stderr)
         return 2
@@ -632,12 +676,7 @@ def _validate_names(args) -> None:
         else:
             check_sites = ()
         for name in check_sites:
-            spd = samples_per_day_for(name)
-            if spd % n_slots:
-                raise ValueError(
-                    f"N={n_slots} does not divide samples per day "
-                    f"({spd}) of site {name}"
-                )
+            check_n_slots(n_slots, samples_per_day_for(name), f"site {name}")
 
 
 def _dispatch(args) -> int:
@@ -798,52 +837,28 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "robustness":
-        from repro.experiments.common import check_n_days
         from repro.experiments.robustness import MIN_N_DAYS
         from repro.experiments.robustness import run as run_robustness
         from repro.experiments.robustness import run_fleet_robustness
         from repro.metrics import format_robustness_summary, summarise_robustness
 
-        sites = args.sites
-        days = args.days
-        fleet_days = args.fleet_days
-        measured = None
-        if args.trace is not None:
-            from repro.solar.ingest.sites import register_measured_site
-
-            try:
-                measured = register_measured_site(
-                    args.trace,
-                    channel=args.trace_channel,
-                    resolution_minutes=args.trace_resolution,
-                    overwrite=True,
-                )
-                if measured.samples_per_day % args.n:
-                    raise ValueError(
-                        f"N={args.n} does not divide samples per day "
-                        f"({measured.samples_per_day}) of trace "
-                        f"{measured.name}"
+        with _measured_trace(args, {"the robustness matrix": MIN_N_DAYS}) as measured:
+            sites = args.sites
+            days = args.days
+            fleet_days = args.fleet_days
+            if measured is not None:
+                sites = list(args.sites or []) + [measured.name]
+                if days > measured.n_days:
+                    print(
+                        f"note: trace {measured.name} has {measured.n_days} "
+                        f"days; running the matrix at {measured.n_days} days",
+                        file=sys.stderr,
                     )
-                check_n_days(
-                    min(days, measured.n_days),
-                    {"the robustness matrix": MIN_N_DAYS},
-                )
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            sites = list(args.sites or []) + [measured.name]
-            if days > measured.n_days:
-                print(
-                    f"note: trace {measured.name} has {measured.n_days} "
-                    f"days; running the matrix at {measured.n_days} days",
-                    file=sys.stderr,
-                )
-                days = measured.n_days
-            fleet_days = min(fleet_days, measured.n_days)
+                    days = measured.n_days
+                fleet_days = min(fleet_days, measured.n_days)
 
-        cache = _cache_from_args(args)
-        stats: List = []
-        try:
+            cache = _cache_from_args(args)
+            stats: List = []
             result = run_robustness(
                 n_days=days,
                 sites=sites,
@@ -897,40 +912,12 @@ def _dispatch(args) -> int:
                 print()
                 print(replay_result.render())
             _print_exec_stats(stats, cache)
-        finally:
-            if measured is not None:
-                # The registration was a per-invocation side effect;
-                # drop it (even on error) so repeated in-process main()
-                # calls start clean.
-                from repro.solar.ingest.sites import unregister_measured_site
-
-                unregister_measured_site(measured.name)
         return 0
 
     if args.command == "serve":
         from repro.serve import ForecastService, serve_http, serve_stdin
 
-        measured = None
-        if args.trace is not None:
-            from repro.solar.ingest.sites import register_measured_site
-
-            try:
-                measured = register_measured_site(
-                    args.trace,
-                    channel=args.trace_channel,
-                    resolution_minutes=args.trace_resolution,
-                    overwrite=True,
-                )
-                if measured.samples_per_day % args.n:
-                    raise ValueError(
-                        f"N={args.n} does not divide samples per day "
-                        f"({measured.samples_per_day}) of trace "
-                        f"{measured.name}"
-                    )
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        try:
+        with _measured_trace(args):
             service = ForecastService(
                 n_slots=args.n,
                 predictor=args.predictor,
@@ -941,11 +928,6 @@ def _dispatch(args) -> int:
             if args.http is not None:
                 return serve_http(service, port=args.http)
             return serve_stdin(service)
-        finally:
-            if measured is not None:
-                from repro.solar.ingest.sites import unregister_measured_site
-
-                unregister_measured_site(measured.name)
 
     if args.command == "plot":
         from repro.plotting import render_fig2, render_fig7

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.optimizer import DEFAULT_ALPHAS, DEFAULT_KS
 from repro.core.wcma import WCMABatch
-from repro.metrics.roi import DEFAULT_ROI_FRACTION, DEFAULT_WARMUP_DAYS, roi_mask
+from repro.metrics.roi import DEFAULT_ROI_FRACTION, DEFAULT_WARMUP_DAYS, roi_indices
 from repro.solar.trace import SolarTrace
 
 __all__ = ["DynamicResult", "clairvoyant_dynamic"]
@@ -69,19 +69,20 @@ def _percentage_error_cube(
 ) -> np.ndarray:
     """|error|/reference for every (alpha, K) at every scored boundary.
 
-    Returns shape ``(len(alphas), len(ks), n_scored)``.
+    Returns shape ``(len(alphas), len(ks), n_scored)``, filled one
+    ``(alpha, boundary)`` plane per ``K``.
     """
     reference = batch.reference_mean
-    mask = roi_mask(
+    idx = roi_indices(
         reference, batch.n_slots, roi_fraction=roi_fraction, warmup_days=warmup_days
     )
-    ref_sel = reference[mask]
-    s_sel = batch.starts_flat[:-1][mask]
+    ref_sel = reference[idx]
+    s_sel = batch.starts_flat[idx]
     alpha_vec = np.asarray(alphas, dtype=float)[:, None]
+    q = batch.conditioned_stack((days,), ks, idx)[0]  # (K, n_scored)
 
-    cube = np.empty((len(alphas), len(ks), ref_sel.size), dtype=float)
-    for j, k_param in enumerate(ks):
-        q_sel = batch.conditioned_term(days, k_param)[mask]
+    cube = np.empty((len(alphas), len(ks), idx.size), dtype=float)
+    for j, q_sel in enumerate(q):
         preds = alpha_vec * s_sel + (1.0 - alpha_vec) * q_sel
         cube[:, j, :] = np.abs(ref_sel - preds) / ref_sel
     return cube

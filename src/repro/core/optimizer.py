@@ -19,21 +19,23 @@ The sweep is a tensor pipeline with one cache level per parameter axis
   ``D`` as a slice; the region of interest is resolved once to integer
   indices (:func:`repro.metrics.roi.roi_indices`) so all later kernels
   gather the ~25 % of scored boundaries instead of masking full series;
-* **per D** -- flat ``μ``/``η`` memoised on the batch;
-* **per (D, K)** -- ``Φ_K`` advances by a sliding-window recurrence
-  (two shifted adds per unit of ``K``);
+* **per D** -- the ``μ`` matrix and flat ``η`` memoised on the batch;
+* **per (D, K)** -- the conditioned terms ``μ_D(t+1)·Φ_K(t)`` of a block
+  of ``D`` values and every ``K`` come from one
+  :meth:`~repro.core.wcma.WCMABatch.conditioned_stack` call, the one
+  ``Φ`` kernel: a double recurrence over the gathered ``η`` lags (one
+  add per running sum per unit of ``K``) at the scored boundaries only;
 * **per (D, K, alpha)** -- the whole error cube is materialised by one
-  fused kernel: the stacked conditioned terms
-  (:meth:`~repro.core.wcma.WCMABatch.conditioned_stack`) are normalised
-  once (``g = q/r``, ``h = s/r``) so grid point ``alpha`` costs
+  fused kernel: the stacked conditioned terms are normalised once
+  (``g = q/r``, ``h = s/r``) so grid point ``alpha`` costs
   ``mean |1 - alpha*h - (1-alpha)*g|``, and consecutive alphas differ by
   the precomputed drift ``d_alpha*(g - h)`` -- one in-place add, one
   abs and one row-sum per alpha, swept over cache-sized row blocks
   (:func:`_alpha_profile_means`).  No division, no full-size
   prediction tensor, no DRAM round trip per alpha.
 
-Memory of the fused cube is bounded by chunking the ``D`` axis
-(``d_chunk``; the default targets ~96 MB of temporaries).  The
+Memory of the fused cube is bounded by chunking the ``D`` axis to a
+temporary-memory budget (:data:`_CHUNK_BYTES`, ~96 MB).  The
 pre-change per-``(D, K)`` Python loop is preserved verbatim as a test
 oracle (``tests/oracles/sweep.py``); the parity suite pins the fused
 cube to it to <= 1e-12 on the full default grid and the sweep benchmark
@@ -72,7 +74,8 @@ DEFAULT_DAYS: Tuple[int, ...] = tuple(range(2, 21))
 #: Paper grid: 1 <= K <= 6.
 DEFAULT_KS: Tuple[int, ...] = tuple(range(1, 7))
 
-#: Temporary-memory target (bytes) used to pick the default ``d_chunk``.
+#: Temporary-memory budget (bytes) of one ``D``-axis chunk of the fused
+#: error cube (see :func:`_default_chunk`).
 _CHUNK_BYTES = 96 * 1024 * 1024
 
 #: Working-set target (bytes) of one row block in the alpha kernel --
@@ -238,7 +241,6 @@ def _error_cube_fused(
     alphas: Tuple[float, ...],
     reference: np.ndarray,
     idx: np.ndarray,
-    d_chunk: int = None,
 ) -> np.ndarray:
     """The (D, K, alpha) error cube in a handful of numpy ops per chunk."""
     ref_sel = reference[idx]
@@ -250,9 +252,7 @@ def _error_cube_fused(
     alphas_sorted = alphas_v[order]
     n_scored = idx.size
     errors = np.full((len(days), len(ks), alphas_v.size), np.nan)
-    chunk = d_chunk or _default_chunk(
-        len(days), len(ks), n_scored, batch.n_boundaries
-    )
+    chunk = _default_chunk(len(days), len(ks), n_scored, batch.n_boundaries)
     q_buf = np.empty((min(chunk, len(days)), len(ks), n_scored), dtype=float)
     for lo in range(0, len(days), chunk):
         block = days[lo : lo + chunk]
@@ -288,7 +288,6 @@ def grid_search(
     roi_fraction: float = DEFAULT_ROI_FRACTION,
     warmup_days: int = DEFAULT_WARMUP_DAYS,
     batch: WCMABatch = None,
-    d_chunk: int = None,
 ) -> GridSearchResult:
     """Sweep the (alpha, D, K) grid on ``trace`` at sampling rate ``N``.
 
@@ -307,9 +306,6 @@ def grid_search(
     batch:
         Optional pre-built :class:`WCMABatch` to reuse its caches across
         multiple sweeps of the same trace and ``N``.
-    d_chunk:
-        ``D``-axis chunk size of the fused cube; default is sized from a
-        ~96 MB temporary budget.
 
     Returns
     -------
@@ -317,8 +313,6 @@ def grid_search(
     """
     if objective not in ("mape", "mape_prime"):
         raise ValueError(f"objective must be 'mape' or 'mape_prime', got {objective!r}")
-    if d_chunk is not None and d_chunk < 1:
-        raise ValueError(f"d_chunk must be >= 1, got {d_chunk}")
     alphas = tuple(float(a) for a in alphas)
     days = tuple(int(d) for d in days)
     ks = tuple(int(k) for k in ks)
@@ -355,9 +349,7 @@ def grid_search(
     if idx.size == 0:
         raise EmptyRegionError("region of interest is empty; trace too short or dark")
 
-    errors = _error_cube_fused(
-        batch, days, ks, alphas, reference, idx, d_chunk=d_chunk
-    )
+    errors = _error_cube_fused(batch, days, ks, alphas, reference, idx)
 
     flat_best = np.nanargmin(errors)
     i, j, a = np.unravel_index(flat_best, errors.shape)
@@ -399,7 +391,6 @@ def sweep_many(
     ks: Sequence[int] = DEFAULT_KS,
     roi_fraction: float = DEFAULT_ROI_FRACTION,
     warmup_days: int = DEFAULT_WARMUP_DAYS,
-    d_chunk: int = None,
 ) -> List[GridSearchResult]:
     """Run several grid searches against shared per-(trace, N) caches.
 
@@ -410,7 +401,7 @@ def sweep_many(
     the entry point is cache sharing: one :class:`WCMABatch` per
     distinct ``(trace, n_slots)`` serves every spec that scores it, so
     multi-objective or multi-``N`` table reproductions pay for the
-    ``μ``/``η``/``Φ`` kernels once.
+    ``μ``/``η`` kernels once.
     """
     resolved = [
         spec if isinstance(spec, SweepSpec) else SweepSpec(*spec) for spec in specs
@@ -439,7 +430,6 @@ def sweep_many(
                 roi_fraction=roi_fraction,
                 warmup_days=warmup_days,
                 batch=batch,
-                d_chunk=d_chunk,
             )
         )
     return results

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -65,7 +65,6 @@ __all__ = [
     "WCMAPredictor",
     "WCMAVector",
     "WCMABatch",
-    "mu_matrix",
     "MU_EPS",
     "ETA_FLOOR_FRACTION",
 ]
@@ -348,63 +347,30 @@ class WCMAPredictor(ScalarFace):
         kernel._mu_days_seen = -1
 
 
-def mu_matrix(starts: np.ndarray, days: int) -> np.ndarray:
-    """``μ_D`` for every (day, slot): mean of the previous ``days`` rows.
-
-    Parameters
-    ----------
-    starts:
-        ``(n_days, N)`` start-of-slot sample matrix.
-    days:
-        History depth ``D``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(n_days, N)`` where row ``d`` holds
-        ``mean(starts[d-days:d], axis=0)``; rows ``d < days`` are NaN
-        (insufficient history).
-    """
-    starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 2:
-        raise ValueError(f"starts must be 2-D, got shape {starts.shape}")
-    n_days = starts.shape[0]
-    if days < 1:
-        raise ValueError("days must be >= 1")
-    out = np.full_like(starts, np.nan)
-    if n_days <= days:
-        return out
-    csum = np.vstack([np.zeros((1, starts.shape[1])), np.cumsum(starts, axis=0)])
-    out[days:] = (csum[days:-1] - csum[:-days - 1])[: n_days - days] / days
-    # the slice above yields rows for d = days..n_days-1
-    return out
-
-
 class WCMABatch:
     """Vectorized WCMA evaluation over an entire trace.
 
-    The sweep-engine v2 kernel set.  Three levels of sharing keep the
+    The sweep-engine v2 kernel set.  Two levels of sharing keep the
     exhaustive grid searches of Tables II/III/V cheap:
 
     * **Per trace** -- one prefix sum over the day axis
       (:meth:`_day_csum`) from which ``μ_D`` for *every* history depth
       ``D`` is a single slice-subtract-divide (no per-``D``
       recomputation).
-    * **Per D** -- the flat ``μ_D`` and ``η`` series are memoised; ``η``
-      reuses the cached ``μ`` matrix instead of rebuilding it.
-    * **Per (D, K)** -- ``Φ_K`` comes from a sliding-window recurrence:
-      with ``θ(k) = k/K`` the numerator is ``(1/K)·Σ k·η`` over the
-      window, so two running sums (plain and lag-weighted) advance from
-      ``K-1`` to ``K`` with one shifted add each, making every ``K``
-      incremental instead of ``O(K)`` passes.  The *conditioned average
-      term* ``q[t] = μ_D(t+1) * Φ_K(t)`` is memoised per ``(D, K)``.
+    * **Per D** -- the ``μ_D`` matrix and the flat ``η`` series are
+      memoised; ``η`` reuses the cached ``μ`` matrix instead of
+      rebuilding it.
 
-    A prediction for any ``alpha`` is then the one-liner
-    ``alpha * s[:-1] + (1 - alpha) * q``.  For whole-grid sweeps,
-    :meth:`conditioned_stack` additionally evaluates the stacked
-    ``(D, K)`` conditioned terms at a set of scored boundary indices in
-    one batched pass (the input of the fused error-cube kernel in
-    :mod:`repro.core.optimizer`).
+    :meth:`conditioned_stack` is the one evaluator of the *conditioned
+    average term* ``q[t] = μ_D(t+1) · Φ_K(t)`` (Eqs. 3-4).  For a block
+    of ``(D, K)`` pairs at a set of boundary indices it gathers the
+    ``η`` lags once, then walks ``K`` upward with a double recurrence
+    (a plain and a θ-weighted window sum, one add each per unit of
+    ``K``) instead of summing ``K`` weighted lags afresh for every
+    ``K``.  The grid searches and Table V call it at the scored
+    boundaries only; :meth:`predictions` calls it at every boundary,
+    where the prediction for any ``alpha`` is
+    ``alpha * s[:-1] + (1 - alpha) * q``.
 
     All flat arrays are aligned on the boundary index
     ``t = day * N + slot``; entries where history is incomplete are NaN.
@@ -414,9 +380,8 @@ class WCMABatch:
 
     One batch may serve several threads at once (the thread backend
     runs experiment units that share a memoised batch): the memos only
-    ever gain whole, finished arrays, the ``Φ`` running sums advance on
-    private copies, and the :meth:`conditioned_stack` workspace is per
-    thread.
+    ever gain whole, finished arrays, and the :meth:`conditioned_stack`
+    workspace is per thread.
     """
 
     def __init__(self, view: SlotView, eta_floor_fraction: float = ETA_FLOOR_FRACTION):
@@ -431,11 +396,7 @@ class WCMABatch:
         self.means_flat = view.flat_means()
         self._csum: np.ndarray = None  # (n_days + 1, N) day-axis prefix sum
         self._mu2d_cache: Dict[int, np.ndarray] = {}
-        self._mu_cache: Dict[int, np.ndarray] = {}
         self._eta_cache: Dict[int, np.ndarray] = {}
-        self._phi_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        self._window_cache: Dict[int, tuple] = {}  # D -> (K_done, B, W)
-        self._q_cache: Dict[Tuple[int, int], np.ndarray] = {}
         # conditioned_stack workspace, keyed by its shape: repeated
         # sweep chunks reuse the lag/window buffers instead of paying a
         # fresh multi-MB allocation (page faults) per chunk.  Per thread,
@@ -458,9 +419,8 @@ class WCMABatch:
         """Shared day-axis prefix sum: ``csum[d] = Σ starts[:d]``.
 
         Computed once; ``μ_D`` for any ``D`` is then
-        ``(csum[D:-1] - csum[:-D-1]) / D`` -- bit-identical to what
-        :func:`mu_matrix` produces, without re-running the cumulative
-        sum per depth.
+        ``(csum[D:-1] - csum[:-D-1]) / D``, without re-running the
+        cumulative sum per depth.
         """
         if self._csum is None:
             starts = self.view.starts
@@ -486,9 +446,7 @@ class WCMABatch:
 
     def mu_flat(self, days: int) -> np.ndarray:
         """Flat ``μ_D`` series (NaN during the first ``days`` days)."""
-        if days not in self._mu_cache:
-            self._mu_cache[days] = self.mu2d(days).reshape(-1)
-        return self._mu_cache[days]
+        return self.mu2d(days).reshape(-1)
 
     def eta_flat(self, days: int) -> np.ndarray:
         """Flat ``η`` series: ``s/μ_D`` with the night/dawn guard.
@@ -518,58 +476,6 @@ class WCMABatch:
             self._eta_cache[days] = eta
         return self._eta_cache[days]
 
-    def phi_flat(self, days: int, k_param: int) -> np.ndarray:
-        """Flat ``Φ_K`` series (Eq. 3); NaN where the lookback is short.
-
-        Sliding-window form: with ``θ(k) = k/K`` the weighted numerator
-        over the window is ``(1/K)·Σ_k k·η``, so two running sums --
-        ``B[t] = Σ_{j<K} η(t-j)`` (plain) and ``W[t] = Σ_{j<K} j·η(t-j)``
-        (lag-weighted) -- give every ``K`` incrementally:
-
-        ``Φ_K(t) = (K·B[t] - W[t]) · 2 / (K·(K+1))``
-
-        Advancing ``K -> K+1`` costs one shifted add per running sum
-        instead of the ``O(K)`` shifted adds of the reference kernel.
-        The sums are cached per ``D`` and every intermediate ``K``
-        passed on the way up is cached too, so requesting a smaller
-        ``K`` later is a pure cache hit.
-        """
-        if k_param < 1:
-            raise ValueError("K must be >= 1")
-        key = (days, k_param)
-        if key not in self._phi_cache:
-            # Advance copies of the running sums and publish them whole:
-            # another thread may be advancing the same D concurrently.
-            k_done, window, weighted = self._window_cache.get(days, (0, None, None))
-            if window is None:
-                window = np.zeros(self.n_boundaries, dtype=float)
-                weighted = np.zeros(self.n_boundaries, dtype=float)
-            else:
-                window, weighted = window.copy(), weighted.copy()
-            eta = self.eta_flat(days)
-            for k in range(k_done + 1, k_param + 1):
-                lag = k - 1
-                if lag == 0:
-                    window += eta
-                else:
-                    window[lag:] += eta[:-lag]
-                    weighted[lag:] += lag * eta[:-lag]
-                phi = (k * window - weighted) * (2.0 / (k * (k + 1)))
-                phi[: k - 1] = np.nan  # incomplete lookback at trace start
-                self._phi_cache[(days, k)] = phi
-            if k_param > k_done:
-                self._window_cache[days] = (k_param, window, weighted)
-        return self._phi_cache[key]
-
-    def conditioned_term(self, days: int, k_param: int) -> np.ndarray:
-        """``q[t] = μ_D(t+1) · Φ_K(t)``, length ``n_boundaries - 1``."""
-        key = (days, k_param)
-        if key not in self._q_cache:
-            mu = self.mu_flat(days)
-            phi = self.phi_flat(days, k_param)
-            self._q_cache[key] = mu[1:] * phi[:-1]
-        return self._q_cache[key]
-
     def conditioned_stack(
         self,
         days_seq: Sequence[int],
@@ -579,29 +485,30 @@ class WCMABatch:
     ) -> np.ndarray:
         """Conditioned terms for a block of ``(D, K)`` pairs at ``idx``.
 
-        The sweep-side kernel: evaluates
+        The one ``Φ`` kernel: evaluates
         ``q[D, K, t] = μ_D(t+1) · Φ_K(t)`` for every ``D`` in
         ``days_seq`` x every ``K`` in ``ks_seq``, but *only* at the
-        scored boundary indices ``idx`` (sorted ascending, e.g.
-        :func:`repro.metrics.roi.roi_indices`), returning shape
+        boundary indices ``idx`` (sorted ascending: the sweeps pass the
+        scored ones, :func:`repro.metrics.roi.roi_indices`, and
+        :meth:`predictions` passes every one), returning shape
         ``(len(days_seq), len(ks_seq), len(idx))``.
 
-        Compared to gathering from :meth:`conditioned_term`, this skips
-        materialising the full-length ``Φ``/``q`` series: the ``η``
-        values each window needs (lags ``0..max(K)-1`` of every scored
-        boundary, which may straddle unscored slots) are gathered once,
-        after which the sliding-window sums, the ``Φ`` scaling, the
-        ``μ`` product and every downstream error op touch only the
-        scored subset -- typically ~25 % of the trace under the
-        region-of-interest rule.  Memory is ``O(len(days_seq) · max(K) ·
-        len(idx))`` for the lag tensor -- callers bound it by chunking
-        ``days_seq`` (see ``grid_search``'s ``d_chunk``).
+        No full-length ``Φ``/``q`` series is materialised: the ``η``
+        values each window needs (lags ``0..max(K)-1`` of every
+        requested boundary, which may straddle unrequested slots) are
+        gathered once, after which the window sums, the ``Φ`` scaling,
+        the ``μ`` product and every downstream error op touch only the
+        requested subset -- for the sweeps, the scored boundaries,
+        typically ~25 % of the trace under the region-of-interest rule.
+        Memory is ``O(len(days_seq) · max(K) · len(idx))`` for the lag
+        tensor -- the grid search bounds it by chunking ``days_seq`` to
+        its temporary-memory budget (``optimizer._CHUNK_BYTES``).
 
-        ``μ`` and ``η`` per ``D`` go through the same memos as the
-        scalar API, so repeated sweeps on one batch stay shared.  The
-        internal lag/window buffers persist on the batch and are reused
-        by same-shaped chunks; pass ``out`` (same shape as the result)
-        to recycle the output allocation as well.
+        ``μ`` and ``η`` per ``D`` come from the batch's memos, so
+        repeated sweeps on one batch stay shared.  The internal
+        lag/window buffers persist on the batch and are reused by
+        same-shaped chunks; pass ``out`` (same shape as the result) to
+        recycle the output allocation as well.
         """
         idx = np.asarray(idx)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_boundaries - 1):
@@ -672,7 +579,9 @@ class WCMABatch:
         ``p[t]`` is the prediction made at boundary ``t`` for the slot
         beginning there (Eq. 1).  NaN where history is incomplete.
         """
-        q = self.conditioned_term(params.days, params.k)
+        q = self.conditioned_stack(
+            (params.days,), (params.k,), np.arange(self.n_boundaries - 1)
+        )[0, 0]
         return params.alpha * self.starts_flat[:-1] + (1.0 - params.alpha) * q
 
     # ------------------------------------------------------------------

@@ -17,8 +17,8 @@ own memo so nothing is rebuilt one level down:
    five ways, not synthesise it five times.
 2. **Batch engine per (site, n_days, N)** -- :func:`batch_for`, a small
    LRU of :class:`~repro.core.wcma.WCMABatch` instances.  A batch holds
-   the slotted trace plus the per-``D``/per-``(D, K)`` ``μ``/``η``/``Φ``
-   caches every grid search of one (site, N) shares.
+   the slotted trace plus the per-``D`` ``μ``/``η`` caches every grid
+   search of one (site, N) shares.
 3. **Grid search per (site, n_days, N, objective, D grid)** --
    :func:`sweep_for`, an LRU of read-only
    :class:`~repro.core.optimizer.GridSearchResult` objects.  Tables
@@ -26,7 +26,9 @@ own memo so nothing is rebuilt one level down:
    which 36 are distinct: each runs once and the repeats are hits.
 4. **Inside each batch** -- the sweep-v2 kernel caches documented on
    :class:`~repro.core.wcma.WCMABatch` (shared day-axis prefix sum,
-   memoised ``μ``/``η`` per ``D``, incremental ``Φ`` window sums).
+   memoised ``μ``/``η`` per ``D``); ``Φ`` has no memo: the one ``Φ``
+   kernel, :meth:`~repro.core.wcma.WCMABatch.conditioned_stack`, runs
+   its double recurrence over ``K`` at the scored boundaries each time.
 
 The three memos are per process.  Under the parallel runner
 (:func:`repro.experiments.runner.run_all` with ``jobs > 1``) every
@@ -77,7 +79,7 @@ DEFAULT_N_DAYS = 365
 PAPER_N_VALUES = (288, 96, 72, 48, 24)
 
 #: LRU bound on the memoised batch engines.  A WCMABatch holds the full
-#: flattened trace plus per-(D, K) conditioned-term caches, so an
+#: flattened trace plus per-D mu/eta caches, so an
 #: unbounded dict grows without limit during long sweeps over many
 #: (site, days, N) keys; eight entries cover a whole per-site experiment
 #: (the five paper N values plus slack) while keeping memory flat.

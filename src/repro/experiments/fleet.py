@@ -32,6 +32,7 @@ from repro.management.storage import Battery, Supercapacitor
 from repro.parallel.fleet import FleetPlan
 from repro.solar.datasets import build_dataset, samples_per_day_for
 from repro.solar.scenarios import make_scenario
+from repro.solar.slots import check_n_slots
 
 __all__ = [
     "CONTROLLER_KINDS",
@@ -100,11 +101,7 @@ def build_fleet_specs(
     # fleet (node_range) must only pay for the sites its nodes draw, so
     # base traces are built lazily below alongside the perturbed ones.
     for site in site_list:
-        if n_slots <= 0 or samples_per_day_for(site) % n_slots:
-            raise ValueError(
-                f"N={n_slots} does not divide samples per day "
-                f"({samples_per_day_for(site)}) of site {site}"
-            )
+        check_n_slots(n_slots, samples_per_day_for(site), f"site {site}")
     traces: Dict[str, object] = {}
     scenario_names = (
         tuple(s.lower() for s in plan.scenarios) if plan.scenarios else ("clean",)

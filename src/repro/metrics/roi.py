@@ -96,8 +96,8 @@ def roi_indices(
     """Sorted integer indices of the in-ROI samples.
 
     The gather-friendly form of :func:`roi_mask` (same parameters): the
-    fused sweep kernels index ``Φ``/``μ``/``q`` arrays directly at the
-    scored positions rather than boolean-masking full-length series, so
+    fused sweep kernels gather ``μ``/``η`` directly at the scored
+    positions rather than boolean-masking full-length series, so
     they want ``np.flatnonzero`` of the mask once, up front.
     """
     return np.flatnonzero(

@@ -414,10 +414,7 @@ class ForecastService:
 
     def _check_geometry(self, site: str) -> None:
         from repro.solar.datasets import samples_per_day_for
+        from repro.solar.slots import check_n_slots
 
         spd = samples_per_day_for(site)  # KeyError -> unknown site
-        if spd % self.n_slots:
-            raise ValueError(
-                f"N={self.n_slots} does not divide samples per day "
-                f"({spd}) of site {site}"
-            )
+        check_n_slots(self.n_slots, spd, f"site {site}")

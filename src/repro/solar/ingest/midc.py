@@ -53,6 +53,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.solar.io import excerpt
 from repro.solar.trace import MINUTES_PER_DAY
 
 __all__ = ["IngestError", "MIDCChannel", "parse_midc"]
@@ -248,7 +249,7 @@ def _locate_time_columns(header: List[str]) -> Tuple[int, int]:
     )
     if date_col is None:
         raise IngestError(
-            f"no date column (header containing 'DATE') in {header}"
+            f"no date column (header containing 'DATE') in {excerpt(str(header))}"
         )
     time_col = next(
         (
@@ -262,7 +263,7 @@ def _locate_time_columns(header: List[str]) -> Tuple[int, int]:
     if time_col is None:
         raise IngestError(
             "no time column (timezone code such as MST, or a header "
-            f"containing 'TIME') in {header}"
+            f"containing 'TIME') in {excerpt(str(header))}"
         )
     return date_col, time_col
 
@@ -282,14 +283,15 @@ def _select_channel(
     partial = [(i, name) for i, name in channel_cols if wanted in name.upper()]
     if len(partial) == 1:
         return partial[0]
-    available = ", ".join(name for _, name in channel_cols)
+    available = excerpt(", ".join(name for _, name in channel_cols))
     if not partial:
         raise IngestError(
-            f"unknown channel {requested!r}; available: {available}"
+            f"unknown channel {excerpt(repr(requested))}; available: {available}"
         )
+    matches = excerpt(", ".join(name for _, name in partial))
     raise IngestError(
-        f"channel {requested!r} is ambiguous "
-        f"({', '.join(name for _, name in partial)}); available: {available}"
+        f"channel {excerpt(repr(requested))} is ambiguous "
+        f"({matches}); available: {available}"
     )
 
 
@@ -300,7 +302,7 @@ def _parse_date(text: str, line: int) -> int:
         except ValueError:
             continue
     raise IngestError(
-        f"row {line}: cannot parse date {text!r} "
+        f"row {line}: cannot parse date {excerpt(repr(text))} "
         "(expected MM/DD/YYYY or YYYY-MM-DD)"
     )
 
@@ -309,17 +311,18 @@ def _parse_minute(text: str, line: int) -> int:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise IngestError(
-            f"row {line}: cannot parse time {text!r} (expected HH:MM[:SS])"
+            f"row {line}: cannot parse time {excerpt(repr(text))} "
+            "(expected HH:MM[:SS])"
         )
     try:
         numbers = [int(p) for p in parts]
     except ValueError:
-        raise IngestError(f"row {line}: cannot parse time {text!r}")
+        raise IngestError(f"row {line}: cannot parse time {excerpt(repr(text))}")
     hour, minute = numbers[0], numbers[1]
     second = numbers[2] if len(numbers) == 3 else 0
     if not (0 <= hour < 24 and 0 <= minute < 60 and second == 0):
         raise IngestError(
-            f"row {line}: time {text!r} outside the 00:00..23:59 "
+            f"row {line}: time {excerpt(repr(text))} outside the 00:00..23:59 "
             "whole-minute grid"
         )
     return hour * 60 + minute
@@ -331,11 +334,11 @@ def _parse_value(text: str, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise IngestError(f"row {line}: non-numeric sample {text!r}")
+        raise IngestError(f"row {line}: non-numeric sample {excerpt(repr(text))}")
     if value != value or value <= SENTINEL_CEILING:
         return _MISSING
     if not math.isfinite(value):
-        raise IngestError(f"row {line}: non-finite sample {text!r}")
+        raise IngestError(f"row {line}: non-finite sample {excerpt(repr(text))}")
     return value
 
 

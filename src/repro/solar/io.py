@@ -30,9 +30,28 @@ import numpy as np
 
 from repro.solar.trace import MINUTES_PER_DAY, SolarTrace
 
-__all__ = ["read_csv", "write_csv", "FormatError"]
+__all__ = ["read_csv", "write_csv", "FormatError", "excerpt"]
 
 _MAGIC = "# repro-solar-trace v1"
+
+#: Most UTF-8 bytes of file text that one echo in an error message
+#: quotes: a message echoes at most three pieces, so it stays under 512
+#: bytes whatever the file holds.
+ECHO_BYTES = 96
+
+
+def excerpt(text: str) -> str:
+    """``text`` as an error message may echo it.
+
+    Whole when its UTF-8 form fits in :data:`ECHO_BYTES`; otherwise that
+    much of its head followed by its length, so that one hostile cell,
+    line or header cannot put megabytes on stderr or into a log.
+    """
+    data = text.encode("utf-8", "replace")
+    if len(data) <= ECHO_BYTES:
+        return text
+    head = data[:ECHO_BYTES].decode("utf-8", "ignore")
+    return f"{head}... ({len(text):,} characters)"
 
 
 class FormatError(ValueError):
@@ -80,7 +99,9 @@ def read_csv(source: Union[str, Path, TextIO]) -> SolarTrace:
 def _read(handle: TextIO) -> SolarTrace:
     first = handle.readline().rstrip("\n")
     if first != _MAGIC:
-        raise FormatError(f"missing magic header {_MAGIC!r} (got {first!r})")
+        raise FormatError(
+            f"missing magic header {_MAGIC!r} (got {excerpt(repr(first))})"
+        )
 
     name = ""
     resolution = None
@@ -98,15 +119,17 @@ def _read(handle: TextIO) -> SolarTrace:
                 try:
                     resolution = int(value)
                 except ValueError:
-                    raise FormatError(f"bad resolution_minutes: {value!r}")
+                    raise FormatError(
+                        f"bad resolution_minutes: {excerpt(repr(value))}"
+                    )
         position = handle.tell()
         line = handle.readline()
     if resolution is None:
         raise FormatError("header lacks resolution_minutes")
     if resolution <= 0 or MINUTES_PER_DAY % resolution:
         raise FormatError(
-            f"resolution_minutes {resolution} does not divide a day "
-            f"({MINUTES_PER_DAY} minutes)"
+            f"resolution_minutes {excerpt(str(resolution))} does not divide "
+            f"a day ({MINUTES_PER_DAY} minutes)"
         )
 
     handle.seek(position)
@@ -117,7 +140,7 @@ def _read(handle: TextIO) -> SolarTrace:
     try:
         header = next(reader, None)
         if header != ["day", "minute", "ghi_wm2"]:
-            raise FormatError(f"unexpected column header: {header}")
+            raise FormatError(f"unexpected column header: {excerpt(str(header))}")
         for row in reader:
             if not row:
                 continue
@@ -130,13 +153,13 @@ def _read(handle: TextIO) -> SolarTrace:
                 minute = int(row[1])
                 value = float(row[2])
             except ValueError as exc:
-                raise FormatError(f"row {expected_index + 2}: {exc}")
+                raise FormatError(f"row {expected_index + 2}: {excerpt(str(exc))}")
             want_day = expected_index // spd + 1
             want_minute = (expected_index % spd) * resolution
             if day != want_day or minute != want_minute:
                 raise FormatError(
                     f"row {expected_index + 2}: time grid mismatch "
-                    f"(got day={day} minute={minute}, "
+                    f"(got day={excerpt(str(day))} minute={excerpt(str(minute))}, "
                     f"expected day={want_day} minute={want_minute})"
                 )
             values.append(value)

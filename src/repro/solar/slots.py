@@ -20,12 +20,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.solar.io import excerpt
 from repro.solar.trace import SolarTrace
 
-__all__ = ["SlotView", "slot_starts", "slot_means", "SUPPORTED_N"]
+__all__ = ["SlotView", "check_n_slots", "slot_starts", "slot_means", "SUPPORTED_N"]
 
 #: Values of N evaluated in the paper (Table III).
 SUPPORTED_N = (288, 96, 72, 48, 24)
+
+
+def check_n_slots(n_slots: int, samples_per_day: int, subject: str) -> None:
+    """Refuse an ``N`` that does not split a day's samples into whole slots.
+
+    ``subject`` names whose samples they are -- ``"site HSU"``,
+    ``"trace 'HSU'"`` -- and ends the message; it is clipped like any
+    other echo of file text, since a trace's name comes from its file.
+
+    Raises
+    ------
+    ValueError
+        If ``n_slots`` is not positive or does not divide
+        ``samples_per_day``.
+    """
+    if n_slots <= 0 or samples_per_day % n_slots:
+        raise ValueError(
+            f"N={n_slots} does not divide samples per day "
+            f"({samples_per_day}) of {excerpt(subject)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -66,11 +87,7 @@ class SlotView:
         if n_slots <= 0:
             raise ValueError("n_slots must be positive")
         spd = trace.samples_per_day
-        if spd % n_slots:
-            raise ValueError(
-                f"N={n_slots} does not divide samples per day ({spd}) of "
-                f"trace {trace.name!r}"
-            )
+        check_n_slots(n_slots, spd, f"trace {trace.name!r}")
         samples_per_slot = spd // n_slots
         days = trace.as_days()
         shaped = days.reshape(trace.n_days, n_slots, samples_per_slot)

@@ -1,9 +1,19 @@
 """Tests for clairvoyant dynamic parameter selection (Table V logic)."""
 
+import numpy as np
 import pytest
 
 from repro.core.dynamic import clairvoyant_dynamic
-from repro.core.optimizer import grid_search
+from repro.core.optimizer import DEFAULT_ALPHAS, DEFAULT_KS, grid_search
+from repro.experiments import table5
+from repro.experiments.common import (
+    PAPER_N_VALUES,
+    batch_for,
+    supported_n_for_site,
+    sweep_for,
+)
+from repro.metrics.roi import roi_mask
+from tests.oracles.sweep import ReferenceBatch
 
 ALPHAS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 KS = (1, 2, 4, 6)
@@ -76,3 +86,60 @@ class TestClairvoyantDynamic:
         # trend is asserted in benchmarks/test_bench_table5.py).
         assert gains[48] > 0.3 and gains[24] > 0.3
         assert gains[24] >= gains[48] - 0.1
+
+
+class TestTableVAgainstOracle:
+    """Table V's clairvoyant selections against the frozen sweep oracle.
+
+    The oracle cube is the pre-v2 one: every ``(alpha, K)`` plane from
+    :meth:`tests.oracles.sweep.ReferenceBatch.conditioned_term`, masked
+    to the region of interest, for the four Table V sites at every
+    supported paper N over 365 days, with ``D`` at the site's static
+    optimum (as :func:`repro.experiments.table5.run` picks it).
+    """
+
+    N_DAYS = 365
+    TOL = 1e-12
+
+    @staticmethod
+    def _oracle_modes(batch, days):
+        reference = ReferenceBatch(batch.view, batch.eta_floor_fraction)
+        ref = batch.reference_mean
+        mask = roi_mask(ref, batch.n_slots)
+        ref_sel = ref[mask]
+        s_sel = batch.starts_flat[:-1][mask]
+        alpha_vec = np.asarray(DEFAULT_ALPHAS)[:, None]
+        cube = np.empty((len(DEFAULT_ALPHAS), len(DEFAULT_KS), ref_sel.size))
+        for j, k in enumerate(DEFAULT_KS):
+            q_sel = reference.conditioned_term(days, k)[mask]
+            preds = alpha_vec * s_sel + (1.0 - alpha_vec) * q_sel
+            cube[:, j, :] = np.abs(ref_sel - preds) / ref_sel
+        per_alpha = cube.min(axis=1).mean(axis=1)
+        per_k = cube.min(axis=0).mean(axis=1)
+        return {
+            "both_mape": float(cube.min(axis=(0, 1)).mean()),
+            "k_only_alpha": DEFAULT_ALPHAS[int(np.argmin(per_alpha))],
+            "k_only_mape": float(per_alpha.min()),
+            "alpha_only_k": DEFAULT_KS[int(np.argmin(per_k))],
+            "alpha_only_mape": float(per_k.min()),
+        }
+
+    def test_matches_reference_cube_at_paper_scale(self):
+        result = table5.run(n_days=self.N_DAYS)
+        expected_rows = [
+            (site, n)
+            for site in table5.DYNAMIC_SITES
+            for n in supported_n_for_site(site, PAPER_N_VALUES)
+        ]
+        assert [(r["data_set"], r["n"]) for r in result.rows] == expected_rows
+        for row in result.rows:
+            site, n_slots = row["data_set"], row["n"]
+            days = sweep_for(site, self.N_DAYS, n_slots).best.days
+            oracle = self._oracle_modes(batch_for(site, self.N_DAYS, n_slots), days)
+            where = f"{site} N={n_slots} D={days}"
+            assert row["k_only_alpha"] == oracle["k_only_alpha"], where
+            assert row["alpha_only_k"] == oracle["alpha_only_k"], where
+            for key in ("both_mape", "k_only_mape", "alpha_only_mape"):
+                assert row[key] == pytest.approx(oracle[key], rel=self.TOL, abs=0), (
+                    f"{where} {key}"
+                )

@@ -115,8 +115,6 @@ class TestGridSearch:
             grid_search(pfci_trace, 48, alphas=())
         with pytest.raises(ValueError, match="history depth"):
             grid_search(pfci_trace, 48, days=(60,))
-        with pytest.raises(ValueError, match="d_chunk"):
-            grid_search(pfci_trace, 48, d_chunk=0)
 
     def test_d_equal_trace_length_rejected(self, pfci_trace):
         """The guard is D >= n_days, not just D > n_days: with D equal

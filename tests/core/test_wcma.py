@@ -12,9 +12,9 @@ from repro.core.wcma import (
     WCMAParams,
     WCMAPredictor,
     WCMAVector,
-    mu_matrix,
 )
 from repro.solar.slots import SlotView
+from tests.oracles.sweep import mu_matrix
 
 
 class TestWCMAParams:
@@ -200,12 +200,6 @@ class TestBatchEngine:
         assert np.isnan(pred[: 10 * 24 - 1]).all()
         assert np.isfinite(pred[11 * 24 :]).all()
 
-    def test_caches_reused(self, hsu_trace):
-        batch = WCMABatch.from_trace(hsu_trace, 24)
-        q1 = batch.conditioned_term(5, 2)
-        q2 = batch.conditioned_term(5, 2)
-        assert q1 is q2
-
     def test_alpha_one_is_persistence(self, hsu_trace):
         batch = WCMABatch.from_trace(hsu_trace, 48)
         pred = batch.predictions(WCMAParams(1.0, 5, 2))
@@ -233,10 +227,12 @@ class TestBatchEngine:
         """Without the dawn guard, Phi explodes on clear mornings; with
         it, Phi stays within a sane band inside the ROI."""
         batch = WCMABatch.from_trace(clearsky_trace, 48)
-        phi = batch.phi_flat(10, 2)
-        means = batch.means_flat
-        bright = means >= 0.10 * means.max()
-        valid = np.isfinite(phi) & bright
+        means = batch.reference_mean
+        bright = np.flatnonzero(means >= 0.10 * means.max())
+        q = batch.conditioned_stack((10,), (2,), bright)[0, 0]
+        phi = q / batch.mu_flat(10)[bright + 1]  # q = mu_D(t+1) * Phi_K(t)
+        valid = np.isfinite(phi)
+        assert valid.any()
         assert phi[valid].max() < 2.0
         assert phi[valid].min() > 0.5
 
@@ -298,25 +294,6 @@ class TestBatchSharedAcrossThreads:
         assert not thread.is_alive()
         np.testing.assert_array_equal(results["a"], expect_a)
         np.testing.assert_array_equal(got_b, expect_b)
-
-    def test_concurrent_phi_advances_do_not_double_count(self, hsu_trace, monkeypatch):
-        private = WCMABatch.from_trace(hsu_trace, 48)
-        expect = {k: private.phi_flat(5, k).copy() for k in (1, 2, 3, 4)}
-
-        batch = WCMABatch.from_trace(hsu_trace, 48)
-        batch.phi_flat(5, 1)  # running sums exist at K = 1
-        # A parks after reading the K = 1 sums, before advancing them.
-        parked, release = self._park_thread_a(batch, monkeypatch, lambda d: True)
-        thread, results = self._run_a(lambda: batch.phi_flat(5, 4))
-        assert parked.wait(10)
-        got_b = batch.phi_flat(5, 3)  # advances the same D to K = 3
-        release.set()
-        thread.join(10)
-        assert not thread.is_alive()
-        np.testing.assert_array_equal(results["a"], expect[4])
-        np.testing.assert_array_equal(got_b, expect[3])
-        for k in (2, 3):
-            np.testing.assert_array_equal(batch.phi_flat(5, k), expect[k])
 
 
 class TestEtaFloorDefault:

@@ -4,8 +4,10 @@ This module preserves, verbatim, the sweep implementation the repo
 shipped before the sweep-engine v2 rework (prefix-sum μ caches,
 sliding-window Φ, fused error cube in :mod:`repro.core.optimizer`):
 
+* :func:`mu_matrix` -- the original per-``D`` ``μ`` kernel: one
+  cumulative sum over the day axis for every depth.
 * :class:`ReferenceBatch` -- the original :class:`~repro.core.wcma.WCMABatch`
-  kernels: per-``D`` ``μ`` recomputed with :func:`~repro.core.wcma.mu_matrix`
+  kernels: per-``D`` ``μ`` recomputed with :func:`mu_matrix`
   (twice -- once for ``mu_flat``, once inside ``eta_flat``, exactly as the
   old code did) and ``Φ_K`` accumulated with one shifted add per window
   position.
@@ -17,7 +19,9 @@ sliding-window Φ, fused error cube in :mod:`repro.core.optimizer`):
 It exists for two reasons and should not grow features:
 
 1. **Parity.** ``tests/core/test_sweep_parity.py`` pins the v2 kernels
-   against these to <= 1e-12 on the full default grid, per site.
+   against these to <= 1e-12 on the full default grid, per site, and
+   ``tests/core/test_dynamic.py`` pins Table V's clairvoyant selections
+   to a cube built from :meth:`ReferenceBatch.conditioned_term`.
 2. **Benchmarking.** ``benchmarks/test_bench_sweep.py`` measures the
    fused engine against this exact "before" and asserts the >= 5x bar.
 
@@ -39,17 +43,48 @@ from repro.core.optimizer import (
     DEFAULT_KS,
     GridSearchResult,
 )
-from repro.core.wcma import (
-    ETA_FLOOR_FRACTION,
-    MU_EPS,
-    WCMABatch,
-    WCMAParams,
-    mu_matrix,
-)
+from repro.core.wcma import ETA_FLOOR_FRACTION, MU_EPS, WCMABatch, WCMAParams
 from repro.metrics.roi import DEFAULT_ROI_FRACTION, DEFAULT_WARMUP_DAYS, roi_mask
 from repro.solar.slots import SlotView
 
-__all__ = ["ReferenceBatch", "reference_error_cube", "reference_grid_search"]
+__all__ = [
+    "ReferenceBatch",
+    "mu_matrix",
+    "reference_error_cube",
+    "reference_grid_search",
+]
+
+
+def mu_matrix(starts: np.ndarray, days: int) -> np.ndarray:
+    """``μ_D`` for every (day, slot): mean of the previous ``days`` rows.
+
+    Parameters
+    ----------
+    starts:
+        ``(n_days, N)`` start-of-slot sample matrix.
+    days:
+        History depth ``D``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(n_days, N)`` where row ``d`` holds
+        ``mean(starts[d-days:d], axis=0)``; rows ``d < days`` are NaN
+        (insufficient history).
+    """
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2:
+        raise ValueError(f"starts must be 2-D, got shape {starts.shape}")
+    n_days = starts.shape[0]
+    if days < 1:
+        raise ValueError("days must be >= 1")
+    out = np.full_like(starts, np.nan)
+    if n_days <= days:
+        return out
+    csum = np.vstack([np.zeros((1, starts.shape[1])), np.cumsum(starts, axis=0)])
+    out[days:] = (csum[days:-1] - csum[:-days - 1])[: n_days - days] / days
+    # the slice above yields rows for d = days..n_days-1
+    return out
 
 
 class ReferenceBatch:

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.solar.io import FormatError, dumps, loads, read_csv, write_csv
+from repro.solar.io import ECHO_BYTES, FormatError, dumps, excerpt, loads, read_csv, write_csv
 from repro.solar.trace import SolarTrace
 
 
@@ -143,3 +143,28 @@ class TestWriteFormat:
         buffer = io.StringIO()
         write_csv(small_trace(), buffer)
         assert buffer.getvalue().startswith("# repro-solar-trace v1")
+
+
+class TestExcerpt:
+    def test_short_text_unchanged(self):
+        text = "x" * ECHO_BYTES
+        assert excerpt(text) is text
+
+    def test_long_text_clipped_with_its_length(self):
+        assert excerpt("1" * 100_000) == "1" * ECHO_BYTES + "... (100,000 characters)"
+
+    def test_multibyte_text_cut_on_a_character_boundary(self):
+        # 1 + 3 * 100 UTF-8 bytes: the byte budget ends inside a euro sign,
+        # which is dropped whole.
+        clipped = excerpt("a" + "\u20ac" * 100)
+        assert clipped == "a" + "\u20ac" * ((ECHO_BYTES - 1) // 3) + "... (101 characters)"
+
+    def test_long_sample_error_is_clipped(self):
+        good = dumps(small_trace())
+        lines = good.splitlines()
+        row = lines[10].split(",")
+        row[2] = "x" * 10_000
+        lines[10] = ",".join(row)
+        pattern = r"^row 8: could not convert string to float: 'x+\.\.\. \([\d,]+ characters\)$"
+        with pytest.raises(FormatError, match=pattern):
+            loads("\n".join(lines) + "\n")

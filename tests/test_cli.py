@@ -207,6 +207,7 @@ class TestEmptyRegionExitsCleanly:
 MIDC_HEADER = "DATE,MST,Global [W/m^2]"
 TRACE_HEADER = "# repro-solar-trace v1\n# name: P\n# resolution_minutes: 60\nday,minute,ghi_wm2"
 OVERSIZED = "1" * 200_000  # past csv's 131,072-character field limit
+LONG = 100_000  # characters: within csv's field limit, so the reader echoes it
 
 
 def one_error_line(err):
@@ -246,6 +247,35 @@ class TestHostileFilesExitCleanly:
         err = capsys.readouterr().err
         assert one_error_line(err)
         assert "row 2: field larger than field limit" in err
+
+    @pytest.mark.parametrize(
+        "command, text, names",
+        [
+            (["ingest"], f"{MIDC_HEADER}\n{'1' * LONG},00:00,1\n",
+             "error: row 2: cannot parse date '111"),
+            (["ingest"], f"{'1' * LONG},MST,Global [W/m^2]\n03/01/2010,00:00,1\n",
+             "error: no date column (header containing 'DATE') in ['111"),
+            (["tune", "--trace"], f"{TRACE_HEADER}\n1,0,{'x' * LONG}\n",
+             "error: row 2: could not convert string to float: 'xxx"),
+            (["tune", "--trace"], "1" * 1_000_000,
+             "error: missing magic header '# repro-solar-trace v1' (got '111"),
+            (["tune", "--n", "7", "--trace"],
+             TRACE_HEADER.replace("# name: P", f"# name: {'n' * LONG}") + "\n"
+             + "".join(f"{d},{h * 60},1\n" for d in range(1, 23) for h in range(24)),
+             "error: N=7 does not divide samples per day (24) of trace 'nnn"),
+        ],
+        ids=["date-cell", "header-cell", "sample", "no-newline", "trace-name"],
+    )
+    def test_echo_is_clipped(self, command, text, names, tmp_path, capsys):
+        """A huge cell, header, line or trace name is echoed as a short
+        excerpt: one error line that still says where, at most 512 bytes."""
+        path = tmp_path / "hostile.csv"
+        path.write_text(text)
+        assert main(command + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert one_error_line(err)
+        assert err.startswith(names)
+        assert len(err.encode()) <= 512
 
 
 _CELLS = st.one_of(

@@ -159,6 +159,6 @@ class TestMetricProperties:
         values = rng.uniform(0, 1000, 6 * 96)
         trace = SolarTrace(values, 15, "prop")
         batch = WCMABatch.from_trace(trace, 96)
-        q = batch.conditioned_term(days, k)
+        q = batch.conditioned_stack((days,), (k,), np.arange(batch.n_boundaries - 1))
         finite = np.isfinite(q)
         assert (q[finite] >= 0.0).all()
